@@ -59,26 +59,16 @@ def cmd_draw(args) -> int:
     if args.input is not None and args.complete:
         raise CliError("--complete requires --n")
     if args.n is not None:
-        params = params_from_n(args.n) if args.n >= 1 else None
-        if params is None:
-            raise CliError("empty graph")
-        if params.l > DEFAULT_L_CAP and not args.allow_large:
-            raise CliError(
-                f"l={params.l} exceeds the default cap {DEFAULT_L_CAP}; "
-                "pass --allow-large to proceed"
-            )
-        drawing = (
-            draw_complete(args.n) if args.complete else draw_graph(GraphInput(args.n))
-        )
+        graph = GraphInput(args.n)
     else:
         graph = parse_edge_list(_read_text(args.input))
-        params = params_from_n(graph.n)
-        if params.l > DEFAULT_L_CAP and not args.allow_large:
-            raise CliError(
-                f"l={params.l} exceeds the default cap {DEFAULT_L_CAP}; "
-                "pass --allow-large to proceed"
-            )
-        drawing = draw_graph(graph)
+    params = params_from_n(graph.n)
+    if params.l > DEFAULT_L_CAP and not args.allow_large:
+        raise CliError(
+            f"l={params.l} exceeds the default cap {DEFAULT_L_CAP}; "
+            "pass --allow-large to proceed"
+        )
+    drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)
     _write_text(args.out, dumps_drawing(drawing) + "\n")
     return 0
 

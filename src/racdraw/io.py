@@ -23,7 +23,9 @@ from .model import Drawing, EdgePolyline, GridParams, LevelPos, Point
 
 SCHEMA = "rac-drawing/1"
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+# The one canonical spelling of an integer: no leading zeros, no "-0", no
+# sign on positives, no surrounding whitespace. Used with ``fullmatch``.
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class EdgeListError(ValueError):
@@ -103,14 +105,21 @@ class DocumentError(ValueError):
 
 
 class NonIntegerCoordinateError(DocumentError):
-    pass
+    """A numeric field is not a canonical decimal integer string.
+
+    ``value`` holds the rejected value as the document gave it.
+    """
+
+    def __init__(self, context: str, value):
+        super().__init__(
+            f"{context}: expected a canonical decimal integer string, got {value!r}"
+        )
+        self.value = value
 
 
 def _read_int(value, context: str) -> int:
-    if not isinstance(value, str) or not _INT_RE.match(value):
-        raise NonIntegerCoordinateError(
-            f"{context}: expected a decimal integer string, got {value!r}"
-        )
+    if not isinstance(value, str) or not _INT_RE.fullmatch(value):
+        raise NonIntegerCoordinateError(context, value)
     return int(value)
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from math import gcd
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -96,6 +99,7 @@ def perpendicular(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
 
 
 BEND_NAMES = ("a", "b", "c", "d", "e", "f")
+_CLASS_NAMES = {c.value: c.name for c in SegmentClass}
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +206,12 @@ def format_exact(value: int | Fraction) -> str:
     return str(value)
 
 
+def _format_ratio(num: int, den: int) -> str:
+    """``format_exact(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def format_point(x: int | Fraction, y: int | Fraction) -> str:
     return f"{format_exact(x)},{format_exact(y)}"
 
@@ -213,9 +223,11 @@ class CrossingReport:
     unique per segment pair) so identical drawings always serialize to
     identical bytes regardless of how the report was computed.
 
-    Crossings are held columnar (complete drawings produce millions) and
-    materialize into ``Crossing`` values on first access to ``crossings``.
-    Columns may be plain sequences or NumPy int64 vectors; both are exact.
+    Crossings are held as NumPy columns (complete drawings produce
+    millions): int64, or object arrays of Python ints where a value exceeds
+    int64, with denominators > 0. They arrive unsorted, each segment pair in
+    either orientation; the canonical form is computed once, on first
+    listing (``crossings``, ``to_json_*``), so counting never sorts.
     """
 
     __slots__ = (
@@ -225,6 +237,7 @@ class CrossingReport:
         "bbox",
         "pair_counts",
         "_cols",
+        "_sorted",
         "_materialized",
     )
 
@@ -234,17 +247,35 @@ class CrossingReport:
         m: int,
         violations: tuple[Defect, ...],
         bbox: tuple[int, int, int, int],
-        pair_counts: dict[str, int],
-        crossing_columns: tuple,
+        crossing_columns: tuple[np.ndarray, ...],
     ):
         # columns: edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp
         self.n = n
         self.m = m
         self.violations = violations
         self.bbox = bbox
-        self.pair_counts = pair_counts
+        codes = crossing_columns[2] * 8
+        codes += crossing_columns[3]
+        grid = np.bincount(codes, minlength=64).reshape(8, 8)
+        grid = np.triu(grid) + np.tril(grid, -1).T
+        self.pair_counts = {
+            f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))
+        }
         self._cols = crossing_columns
+        self._sorted = False
         self._materialized: tuple[Crossing, ...] | None = None
+
+    def _listing(self) -> tuple[list, ...]:
+        """The crossing columns in canonical order, as Python lists."""
+        if not self._sorted:
+            ea, eb, ca, cb = self._cols[:4]
+            swap = (eb < ea) | ((eb == ea) & (cb < ca))
+            ea, eb = np.where(swap, eb, ea), np.where(swap, ea, eb)
+            ca, cb = np.where(swap, cb, ca), np.where(swap, ca, cb)
+            order = np.lexsort((cb, ca, eb, ea))
+            self._cols = tuple(c[order] for c in (ea, eb, ca, cb) + self._cols[4:])
+            self._sorted = True
+        return tuple(c.tolist() for c in self._cols)
 
     @property
     def crossing_count(self) -> int:
@@ -257,30 +288,25 @@ class CrossingReport:
     @property
     def crossings(self) -> tuple[Crossing, ...]:
         if self._materialized is None:
-            ea, eb, ca, cb, xn, yn, dn, pp = self._cols
             self._materialized = tuple(
                 Crossing(
-                    int(ea[i]),
-                    SegmentClass(int(ca[i])),
-                    int(eb[i]),
-                    SegmentClass(int(cb[i])),
-                    (Fraction(int(xn[i]), int(dn[i])), Fraction(int(yn[i]), int(dn[i]))),
-                    bool(pp[i]),
+                    a,
+                    SegmentClass(c),
+                    b,
+                    SegmentClass(e),
+                    (Fraction(x, q), Fraction(y, q)),
+                    p,
                 )
-                for i in range(len(ea))
+                for a, b, c, e, x, y, q, p in zip(*self._listing())
             )
         return self._materialized
 
     def all_perpendicular(self) -> bool:
         """True iff every recorded crossing meets at an exact right angle."""
-        perp = self._cols[7]
-        return all(bool(p) for p in perp) if isinstance(perp, (list, tuple)) else bool(
-            perp.all()
-        )
+        return bool(self._cols[7].all())
 
     def to_json_dict(self) -> dict:
         xmin, xmax, ymin, ymax = self.bbox
-        ea, eb, ca, cb, xn, yn, dn, pp = self._cols
         return {
             "schema": "rac-report/1",
             "n": self.n,
@@ -295,15 +321,15 @@ class CrossingReport:
             },
             "crossings": [
                 {
-                    "edge_a": int(ea[i]),
-                    "class_a": SegmentClass(int(ca[i])).name,
-                    "edge_b": int(eb[i]),
-                    "class_b": SegmentClass(int(cb[i])).name,
-                    "x": format_exact(Fraction(int(xn[i]), int(dn[i]))),
-                    "y": format_exact(Fraction(int(yn[i]), int(dn[i]))),
-                    "perpendicular": bool(pp[i]),
+                    "edge_a": a,
+                    "class_a": _CLASS_NAMES[c],
+                    "edge_b": b,
+                    "class_b": _CLASS_NAMES[e],
+                    "x": _format_ratio(x, q),
+                    "y": _format_ratio(y, q),
+                    "perpendicular": p,
                 }
-                for i in range(len(ea))
+                for a, b, c, e, x, y, q, p in zip(*self._listing())
             ],
             "violations": [
                 {

@@ -6,31 +6,40 @@ reports crossings and defects as data. Two enumeration modes exist:
 
 * ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs in pure
   Python big-int arithmetic; the trust anchor.
-* ``FILTERED``: prunes pairs using the drawing's slope structure (segments
-  of the same exact slope family can only overlap, never cross, so they are
-  tested only for collinearity) plus bounding-interval overlap on sorted
-  spans. Family membership is decided by each segment's actual direction,
-  not by its class label, so corrupted inputs cannot defeat the filter.
+* ``FILTERED``: visits only pairs whose closed spans overlap on every
+  projection, found by a sorted-span sweep, and confirms them in vector
+  form. Segments of one exact slope family can only overlap, never cross.
+  Family membership is decided by each segment's actual direction, not by
+  its class label, so corrupted inputs cannot defeat the filter.
 
 Both modes must produce byte-identical reports. All accumulation is
-order-independent: results are collected and canonically sorted before the
-report is assembled, so any parallel schedule would yield the same bytes.
-Validation never mutates the drawing.
+order-independent: crossing columns are collected unsorted and the report
+puts them in canonical order on first listing, so any schedule yields the
+same bytes. Validation never mutates the drawing.
 
-No floating-point operation participates in any predicate. The fast path
-uses NumPy int64 vectors only under checked magnitude bounds (coordinates
-below 2**28 keep every orientation product under 2**60; crossing-point
-numerators additionally need coordinates below 2**19); beyond a bound the
-affected stage falls back to exact big-int Python, bit-identically.
+No floating-point operation participates in any predicate. The filtered
+mode works in the rotated lattice basis p = x*l^3 + y, q = x - y*l^3, in
+which the two slope families are axis-parallel: POS segments keep q fixed
+and NEG segments keep p fixed, so their crossings are orthogonal segment
+intersections, decided and located exactly in (p, q). The sweep counts,
+per family pair, the closed-span overlaps on each of x, y, p and q by
+binary search and expands only the cheapest projection, in chunks of
+bounded size. Both modes find segments through vertices with the same
+sweep, vertices taking part as zero-length spans.
+
+Every vector expression runs on one dtype chosen per drawing: int64 while
+max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
+orientation product and each rotated crossing numerator, and NumPy object
+arrays of Python ints beyond it, through the same code.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -50,15 +59,21 @@ from .model import (
 ALLOWED_CLASS_PAIRS = frozenset({(2, 3), (3, 4), (4, 5)})
 
 # Slope families: POS holds directions parallel to (l^3, 1), NEG those
-# parallel to (1, -l^3), VERT the vertical ones; VAR is everything else.
-_POS, _NEG, _VERT, _VAR = 0, 1, 2, 3
+# parallel to (1, -l^3), VERT the vertical ones; VAR is everything else and
+# ZERO marks zero-length segments, which belong to no family.
+_POS, _NEG, _VERT, _VAR, _ZERO = 0, 1, 2, 3, -1
+# Family pairs the sweep visits. Parallel segments never cross properly, so
+# within POS, NEG and VERT only collinear overlaps are possible.
+_FAMILY_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
+# Indexed by 8 * class_a + class_b.
+_ALLOWED_CODES = np.zeros(64, dtype=bool)
+for _a, _b in ALLOWED_CLASS_PAIRS:
+    _ALLOWED_CODES[[8 * _a + _b, 8 * _b + _a]] = True
 
-# int64 stays exact through the vectorized orientation tests below this.
-_VECTOR_COORD_BOUND = 1 << 28
-# ... and through crossing-point numerators below this (24 * b**3 < 2**62).
-_POINT_VECTOR_BOUND = 1 << 19
-# bbox comparisons involve no products; any int64-representable value works.
-_BBOX_COORD_BOUND = 1 << 62
+# int64 is exact while every vector expression stays below this.
+_INT64_BOUND = 1 << 62
+# Candidate pairs expanded per sweep step; bounds the step's temporaries.
+_CANDIDATE_CHUNK = 1 << 18
 
 
 class ValidationMode(Enum):
@@ -173,8 +188,33 @@ def segment_pair(seg1, seg2) -> PairResult:
 # ---------------------------------------------------------------------------
 
 
+def _spans(a, b) -> tuple[np.ndarray, np.ndarray]:
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+class _Group:
+    """Members of one slope family, or the vertices, sorted per projection."""
+
+    __slots__ = ("idx", "spans", "orders")
+
+    def __init__(self, idx: np.ndarray, spans: tuple):
+        self.idx = idx
+        self.spans = [(lo[idx], hi[idx]) for lo, hi in spans]
+        self.orders = []
+        for lo, _ in self.spans:
+            order = np.argsort(lo, kind="stable")
+            self.orders.append((order, lo[order]))
+
+
 class _Table:
-    """Flattened view of a drawing's segments for the pair scans."""
+    """Flattened view of a drawing's segments and vertices for the scans.
+
+    Python lists feed the scalar big-int path; NumPy columns of ``dtype``
+    feed the vector path. ``spans[k]`` holds every segment's closed
+    (lo, hi) interval on projection k of (x, y, p, q), where p = x*l^3 + y
+    and q = x - y*l^3; ``groups`` holds the four slope families and
+    ``vertices`` the vertex points, each sorted for the sweep.
+    """
 
     __slots__ = (
         "edge",
@@ -185,8 +225,17 @@ class _Table:
         "by",
         "active",
         "zero",
-        "max_abs",
-        "arrays",
+        "l3",
+        "dtype",
+        "coords",
+        "edges",
+        "classes",
+        "spans",
+        "groups",
+        "vid",
+        "vx",
+        "vy",
+        "vertices",
     )
 
     def __init__(self, d: Drawing):
@@ -207,22 +256,35 @@ class _Table:
         self.zero = [i for i in range(len(edge)) if ax[i] == bx[i] and ay[i] == by[i]]
         zero = set(self.zero)
         self.active = [i for i in range(len(edge)) if i not in zero]
-        coords = [abs(v) for vs in (ax, ay, bx, by) for v in vs]
-        for _, pt in d.placements.values():
-            coords.append(abs(pt.x))
-            coords.append(abs(pt.y))
-        self.max_abs = max(coords, default=0)
-        if self.max_abs < _BBOX_COORD_BOUND and edge:
-            self.arrays = (
-                np.array(ax, dtype=np.int64),
-                np.array(ay, dtype=np.int64),
-                np.array(bx, dtype=np.int64),
-                np.array(by, dtype=np.int64),
-                np.array(edge, dtype=np.int64),
-                np.array(cls, dtype=np.int64),
-            )
-        else:
-            self.arrays = None
+        self.vid = sorted(d.placements)
+        self.vx = [d.placements[v][1].x for v in self.vid]
+        self.vy = [d.placements[v][1].y for v in self.vid]
+        big = max(map(abs, chain(ax, ay, bx, by, self.vx, self.vy)), default=0)
+        l3 = self.l3 = d.params.slope_den
+        self.dtype = (
+            np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
+        )
+        AX, AY, BX, BY = self.coords = tuple(
+            np.array(c, dtype=self.dtype) for c in (ax, ay, bx, by)
+        )
+        self.edges = np.array(edge, dtype=np.int64)
+        self.classes = np.array(cls, dtype=np.int64)
+        ux, uy = BX - AX, BY - AY
+        fam = np.full(len(edge), _VAR, dtype=np.int64)
+        fam[ux == 0] = _VERT
+        fam[ux == uy * l3] = _POS
+        fam[uy == -ux * l3] = _NEG
+        fam[(ux == 0) & (uy == 0)] = _ZERO
+        self.spans = (
+            _spans(AX, BX),
+            _spans(AY, BY),
+            _spans(AX * l3 + AY, BX * l3 + BY),
+            _spans(AX - AY * l3, BX - BY * l3),
+        )
+        self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
+        VX, VY = (np.array(c, dtype=self.dtype) for c in (self.vx, self.vy))
+        points = (VX, VY, VX * l3 + VY, VX - VY * l3)
+        self.vertices = _Group(np.arange(len(self.vid)), [(c, c) for c in points])
 
     def label(self, i: int) -> str:
         return f"segment:{self.edge[i]}:S{self.cls[i]}"
@@ -264,58 +326,43 @@ def _scan_coincident_points(d: Drawing, defects: list[Defect]) -> None:
             )
 
 
-def _scan_vertex_piercings(d: Drawing, t: _Table, defects: list[Defect]) -> None:
-    """Flag any segment whose interior passes through a vertex point."""
-    if not t.active:
-        return
-    idx = t.active
-    use_numpy = t.max_abs < _VECTOR_COORD_BOUND and t.arrays is not None
-    if use_numpy:
-        act = np.array(idx, dtype=np.int64)
-        axv, ayv = t.arrays[0][act], t.arrays[1][act]
-        uxv = t.arrays[2][act] - axv
-        uyv = t.arrays[3][act] - ayv
-        dd = uxv * uxv + uyv * uyv
-    for v in sorted(d.placements):
-        pt = d.placements[v][1]
-        if use_numpy:
-            wx = pt.x - axv
-            wy = pt.y - ayv
-            on_line = uxv * wy - uyv * wx == 0
-            tdot = wx * uxv + wy * uyv
-            hits = np.nonzero(on_line & (tdot > 0) & (tdot < dd))[0]
-            hit_idx = [idx[int(h)] for h in hits]
-        else:
-            hit_idx = []
-            for i in idx:
-                ux, uy = t.bx[i] - t.ax[i], t.by[i] - t.ay[i]
-                wx, wy = pt.x - t.ax[i], pt.y - t.ay[i]
-                if ux * wy - uy * wx == 0:
-                    td = wx * ux + wy * uy
-                    if 0 < td < ux * ux + uy * uy:
-                        hit_idx.append(i)
-        for i in hit_idx:
-            defects.append(
-                Defect(
-                    DefectKind.SEGMENT_THROUGH_VERTEX,
-                    (t.label(i), f"vertex:{v}"),
-                    (format_point(pt.x, pt.y),),
+def _scan_vertex_piercings(t: _Table, defects: list[Defect]) -> None:
+    """Flag any segment whose interior passes through a vertex point.
+
+    Vertices join the span sweep as zero-length spans; each candidate
+    (segment, vertex) then takes the exact interior test.
+    """
+    AX, AY, BX, BY = t.coords
+    VX, VY = (lo for lo, _ in t.vertices.spans[:2])
+    for group in t.groups:
+        for ia, iv in _span_pairs(group, t.vertices):
+            i = group.idx[ia]
+            ax, ay = AX[i], AY[i]
+            ux, uy = BX[i] - ax, BY[i] - ay
+            wx, wy = VX[iv] - ax, VY[iv] - ay
+            dot = ux * wx + uy * wy
+            hit = (ux * wy - uy * wx == 0) & (dot > 0) & (dot < ux * ux + uy * uy)
+            for s, v in zip(i[hit].tolist(), iv[hit].tolist()):
+                defects.append(
+                    Defect(
+                        DefectKind.SEGMENT_THROUGH_VERTEX,
+                        (t.label(s), f"vertex:{t.vid[v]}"),
+                        (format_point(t.vx[v], t.vy[v]),),
+                    )
                 )
-            )
 
 
 # ---------------------------------------------------------------------------
 # Pair processing (shared by both modes)
 # ---------------------------------------------------------------------------
 
-# A crossing row is (edge_a, edge_b, class_a, class_b, xn, yn, den, perp).
+# A crossing row is (edge_a, edge_b, class_a, class_b, xn, yn, den, perp),
+# den > 0; the report puts each pair in canonical orientation.
 
 
 def _record_crossing(t, i, j, xn, yn, den, perp, rows, defects) -> None:
-    ea, ca, eb, cb = t.edge[i], t.cls[i], t.edge[j], t.cls[j]
-    if (eb, cb) < (ea, ca):
-        ea, ca, eb, cb = eb, cb, ea, ca
-    rows.append((ea, eb, ca, cb, xn, yn, den, perp))
+    ca, cb = t.cls[i], t.cls[j]
+    rows.append((t.edge[i], t.edge[j], ca, cb, xn, yn, den, perp))
     allowed = (min(ca, cb), max(ca, cb)) in ALLOWED_CLASS_PAIRS
     if perp and allowed:
         return
@@ -365,140 +412,104 @@ def _finish_pair(t: _Table, i: int, j: int, rows: list, defects: list) -> None:
     )
 
 
+def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, rows, defects) -> None:
+    for a, b in zip(i.tolist(), j.tolist()):
+        _finish_pair(t, a, b, rows, defects)
+
+
 # ---------------------------------------------------------------------------
-# Filtered candidate generation
+# Filtered candidate generation: sorted-span sweep
 # ---------------------------------------------------------------------------
 
 
-def _families(t: _Table, slope_den: int) -> list[int]:
-    fams = []
-    l3 = slope_den
-    for i in t.active:
-        ux, uy = t.bx[i] - t.ax[i], t.by[i] - t.ay[i]
-        if ux == uy * l3:
-            fams.append(_POS)
-        elif uy == -ux * l3:
-            fams.append(_NEG)
-        elif ux == 0:
-            fams.append(_VERT)
-        else:
-            fams.append(_VAR)
-    return fams
+def _overlap_ranges(a: _Group, b: _Group | None, k: int) -> list[tuple]:
+    """Member pairs of ``a`` x ``b`` whose closed spans overlap on projection k.
 
-
-def _collinear_candidates(
-    t: _Table, fams: list[int], slope_den: int
-) -> Iterator[tuple[int, int]]:
-    """Same-slope-family pairs that lie on one line with overlapping spans.
-
-    Parallel segments can never properly cross, so within a family only
-    collinear overlap is possible; bucket by the line invariant and sweep
-    sorted 1D spans.
+    Returns range sets (owners, start, stop, others, flip): owner o overlaps
+    others[start[o]:stop[o]], and ``flip`` marks owners taken from ``b``.
+    A b-span starting inside an a-span is found from a's side, an a-span
+    starting strictly inside a b-span from b's side, so each pair appears
+    once. With ``b`` None the pairs within ``a`` are listed, each once.
     """
-    l3 = slope_den
-    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for pos, i in enumerate(t.active):
-        fam = fams[pos]
-        if fam == _VAR:
-            continue
-        if fam == _POS:
-            key = t.ax[i] - t.ay[i] * l3
-            lo, hi = sorted((t.ax[i], t.bx[i]))
-        elif fam == _NEG:
-            key = t.ax[i] * l3 + t.ay[i]
-            lo, hi = sorted((t.ax[i], t.bx[i]))
-        else:
-            key = t.ax[i]
-            lo, hi = sorted((t.ay[i], t.by[i]))
-        buckets.setdefault((fam, key), []).append((lo, hi, i))
-    for group in buckets.values():
-        if len(group) < 2:
-            continue
-        group.sort()
-        open_spans: list[tuple[int, int]] = []
-        for lo, hi, i in group:
-            open_spans = [(h, g) for h, g in open_spans if h > lo]
-            for _, g in open_spans:
-                yield (g, i) if g < i else (i, g)
-            open_spans.append((hi, i))
-
-
-def _crossing_group_pairs(
-    t: _Table, fams: list[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Cross-family candidate pairs with overlapping bounding intervals."""
-    if t.arrays is None:
-        yield from _crossing_group_pairs_bigint(t, fams)
-        return
-    act = np.array(t.active, dtype=np.int64)
-    axv, ayv = t.arrays[0][act], t.arrays[1][act]
-    bxv, byv = t.arrays[2][act], t.arrays[3][act]
-    # Comparisons only, so a narrow dtype is exact whenever it fits.
-    dtype = np.int32 if t.max_abs < (1 << 31) else np.int64
-    xmin = np.minimum(axv, bxv).astype(dtype)
-    xmax = np.maximum(axv, bxv).astype(dtype)
-    ymin = np.minimum(ayv, byv).astype(dtype)
-    ymax = np.maximum(ayv, byv).astype(dtype)
-    famv = np.array(fams, dtype=np.int64)
-    members = {f: np.nonzero(famv == f)[0] for f in (_POS, _NEG, _VERT, _VAR)}
-    groups = [
-        (_POS, _NEG),
-        (_POS, _VERT),
-        (_POS, _VAR),
-        (_NEG, _VERT),
-        (_NEG, _VAR),
-        (_VERT, _VAR),
-        (_VAR, _VAR),
+    lo_a, hi_a = a.spans[k]
+    order_a, sorted_a = a.orders[k]
+    if b is None:
+        stop = np.searchsorted(sorted_a, hi_a[order_a], "right")
+        return [(order_a, np.arange(1, len(order_a) + 1), stop, order_a, False)]
+    lo_b, hi_b = b.spans[k]
+    order_b, sorted_b = b.orders[k]
+    return [
+        (
+            np.arange(len(lo_a)),
+            np.searchsorted(sorted_b, lo_a, "left"),
+            np.searchsorted(sorted_b, hi_a, "right"),
+            order_b,
+            False,
+        ),
+        (
+            np.arange(len(lo_b)),
+            np.searchsorted(sorted_a, lo_b, "right"),
+            np.searchsorted(sorted_a, hi_b, "right"),
+            order_a,
+            True,
+        ),
     ]
-    chunk = 2048
-    for fa, fb in groups:
-        ia, ib = members[fa], members[fb]
-        if len(ia) == 0 or len(ib) == 0:
-            continue
-        xmin_b, xmax_b = np.ascontiguousarray(xmin[ib]), np.ascontiguousarray(xmax[ib])
-        ymin_b, ymax_b = np.ascontiguousarray(ymin[ib]), np.ascontiguousarray(ymax[ib])
-        for s in range(0, len(ia), chunk):
-            ic = ia[s : s + chunk]
-            mask = (xmin[ic][:, None] <= xmax_b[None, :]) & (
-                xmax[ic][:, None] >= xmin_b[None, :]
-            )
-            mask &= ymin[ic][:, None] <= ymax_b[None, :]
-            mask &= ymax[ic][:, None] >= ymin_b[None, :]
-            if fa == fb:
-                mask &= ic[:, None] < ib[None, :]
-            ii, jj = np.nonzero(mask)
-            if len(ii):
-                yield act[ic[ii]], act[ib[jj]]
 
 
-def _crossing_group_pairs_bigint(
-    t: _Table, fams: list[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # Exact fallback for coordinates beyond int64; same candidate set.
-    out_i, out_j = [], []
-    active = t.active
-    spans = []
-    for pos, i in enumerate(active):
-        spans.append(
-            (
-                min(t.ax[i], t.bx[i]),
-                max(t.ax[i], t.bx[i]),
-                min(t.ay[i], t.by[i]),
-                max(t.ay[i], t.by[i]),
-                fams[pos],
-            )
-        )
-    for a_pos in range(len(active)):
-        x0, x1, y0, y1, fa = spans[a_pos]
-        for b_pos in range(a_pos + 1, len(active)):
-            u0, u1, v0, v1, fb = spans[b_pos]
-            if fa == fb and fa != _VAR:
-                continue
-            if x0 <= u1 and x1 >= u0 and y0 <= v1 and y1 >= v0:
-                out_i.append(active[a_pos])
-                out_j.append(active[b_pos])
-    if out_i:
-        yield np.array(out_i, dtype=object), np.array(out_j, dtype=object)
+def _expand(owners, start, stop, others) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (owner, other) chunks of at most ``_CANDIDATE_CHUNK`` pairs.
+
+    The pairs of owner k take flat positions [ends[k] - length[k], ends[k]);
+    each chunk covers one window of flat positions, splitting owners at its
+    edges, so memory stays bounded however the pairs are distributed.
+    """
+    length = stop - start
+    ends = np.cumsum(length)
+    firsts = ends - length
+    total = int(ends[-1]) if len(ends) else 0
+    for base in range(0, total, _CANDIDATE_CHUNK):
+        top = min(base + _CANDIDATE_CHUNK, total)
+        lo = int(np.searchsorted(ends, base, "right"))
+        hi = int(np.searchsorted(ends, top - 1, "right")) + 1
+        run = np.minimum(ends[lo:hi], top) - np.maximum(firsts[lo:hi], base)
+        shift = np.repeat(start[lo:hi] - firsts[lo:hi] + base, run)
+        yield np.repeat(owners[lo:hi], run), others[shift + np.arange(top - base)]
+
+
+def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (ia, ib) member chunks whose closed spans overlap on x, y, p, q.
+
+    Overlaps are counted exactly on all four projections; only the one with
+    the fewest is expanded, and the other three filter its chunks. With
+    ``b`` None, pairs within ``a`` are listed.
+    """
+    ranges = [_overlap_ranges(a, b, k) for k in range(4)]
+    counts = [sum(int((r[2] - r[1]).sum()) for r in sets) for sets in ranges]
+    best = counts.index(min(counts))
+    if counts[best] == 0:
+        return
+    other = a if b is None else b
+    for owners, start, stop, others, flip in ranges[best]:
+        for own, oth in _expand(owners, start, stop, others):
+            ia, ib = (oth, own) if flip else (own, oth)
+            keep = np.ones(len(ia), dtype=bool)
+            for k in range(4):
+                if k != best:
+                    lo_a, hi_a = a.spans[k]
+                    lo_b, hi_b = other.spans[k]
+                    keep &= (lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])
+            sel = np.nonzero(keep)[0]
+            if len(sel):
+                yield ia[sel], ib[sel]
+
+
+def _family_pair_candidates(t: _Table) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (fa, fb, i, j): segment index chunks from families fa and fb."""
+    for fa, fb in _FAMILY_PAIRS:
+        a = t.groups[fa]
+        b = None if fa == fb else t.groups[fb]
+        for ia, ib in _span_pairs(a, b):
+            yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
 
 
 @dataclass(frozen=True, slots=True)
@@ -513,102 +524,96 @@ class CandidatePair:
 def filtered_pair_stream(d: Drawing) -> Iterator[CandidatePair]:
     """Stream the candidate segment pairs the filtered mode examines.
 
-    Yields a superset of every pair that can properly cross or overlap;
-    pairs within one exact slope family appear only as "collinear"
-    candidates, everything else passes the sorted-span interval filter.
+    Yields a superset of every pair that can properly cross or overlap:
+    the sorted-span sweep's output. Pairs within one exact slope family
+    are "collinear" candidates, all others "crossing" candidates.
     """
     t = _Table(d)
-    fams = _families(t, d.params.slope_den)
-    for i, j in _collinear_candidates(t, fams, d.params.slope_den):
-        yield CandidatePair(
-            "collinear",
-            (t.edge[i], SegmentClass(t.cls[i])),
-            (t.edge[j], SegmentClass(t.cls[j])),
-        )
-    for ia, jb in _crossing_group_pairs(t, fams):
+    for fa, fb, ia, jb in _family_pair_candidates(t):
+        kind = "collinear" if fa == fb != _VAR else "crossing"
         for i, j in zip(ia.tolist(), jb.tolist()):
             yield CandidatePair(
-                "crossing",
+                kind,
                 (t.edge[i], SegmentClass(t.cls[i])),
                 (t.edge[j], SegmentClass(t.cls[j])),
             )
 
 
-def _run_filtered(t: _Table, params, rows: list, col_chunks: list, defects: list) -> None:
-    fams = _families(t, params.slope_den)
-    for i, j in _collinear_candidates(t, fams, params.slope_den):
-        _finish_pair(t, i, j, rows, defects)
-    if t.arrays is None:
-        for ia, jb in _crossing_group_pairs(t, fams):
-            for i, j in zip(ia.tolist(), jb.tolist()):
-                _finish_pair(t, int(i), int(j), rows, defects)
+# ---------------------------------------------------------------------------
+# Vector confirmation
+# ---------------------------------------------------------------------------
+
+
+def _confirm_rotated(t: _Table, i, j, rows, col_chunks, defects) -> None:
+    """Classify POS segments ``i`` against NEG segments ``j`` in (p, q).
+
+    A POS segment keeps q fixed over its p-span and a NEG segment keeps p
+    fixed over its q-span. The sweep passed only pairs whose spans overlap
+    on p and q, so every pair meets (the closed box); a pair crosses
+    properly iff the box holds strictly, at x = (p*l^3 + q)/(l^6 + 1),
+    y = (p - q*l^3)/(l^6 + 1), and the two directions are perpendicular.
+    A pair meeting at a corner of the box shares an endpoint, which is legal.
+    """
+    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2], t.spans[3]
+    p, q = p_lo[j], q_lo[i]
+    p_end = (p == p_lo[i]) | (p == p_hi[i])
+    q_end = (q == q_lo[j]) | (q == q_hi[j])
+    clean = ~p_end & ~q_end
+    clean &= _ALLOWED_CODES[t.classes[i] * 8 + t.classes[j]]
+    rest = ~clean & ~(p_end & q_end)
+    _finish_pairs(t, i[rest], j[rest], rows, defects)
+    keep = np.nonzero(clean)[0]
+    if len(keep) == 0:
         return
-    AX, AY, BX, BY, EG, CL = t.arrays
-    vector_safe = t.max_abs < _VECTOR_COORD_BOUND
-    point_safe = t.max_abs < _POINT_VECTOR_BOUND
-    for ia, jb in _crossing_group_pairs(t, fams):
-        if not vector_safe:
-            for i, j in zip(ia.tolist(), jb.tolist()):
-                _finish_pair(t, int(i), int(j), rows, defects)
-            continue
-        ax, ay = AX[ia], AY[ia]
-        ux, uy = BX[ia] - ax, BY[ia] - ay
-        cx, cy = AX[jb], AY[jb]
-        vx, vy = BX[jb] - cx, BY[jb] - cy
-        rx, ry = cx - ax, cy - ay
-        den = ux * vy - uy * vx
-        tn = rx * vy - ry * vx
-        un = rx * uy - ry * ux
-        neg = den < 0
-        dn = np.where(neg, -den, den)
-        tn = np.where(neg, -tn, tn)
-        un = np.where(neg, -un, un)
-        parallel = den == 0
-        inside = ~parallel & (tn >= 0) & (tn <= dn) & (un >= 0) & (un <= dn)
-        proper = inside & (tn > 0) & (tn < dn) & (un > 0) & (un < dn)
-        # Exceptional pairs (parallel geometry, endpoint contacts, or points
-        # too large to vectorize) finish in exact big-int Python.
-        exceptional = parallel | (inside & ~proper)
-        if not point_safe:
-            exceptional = exceptional | proper
-            proper = np.zeros_like(proper)
-        for pos in np.nonzero(exceptional)[0]:
-            _finish_pair(t, int(ia[pos]), int(jb[pos]), rows, defects)
-        sel = np.nonzero(proper)[0]
-        if len(sel) == 0:
-            continue
-        dn_s, tn_s = dn[sel], tn[sel]
-        xn = ax[sel] * dn_s + tn_s * ux[sel]
-        yn = ay[sel] * dn_s + tn_s * uy[sel]
-        perp = ux[sel] * vx[sel] + uy[sel] * vy[sel] == 0
-        ea, ca = EG[ia[sel]], CL[ia[sel]]
-        eb, cb = EG[jb[sel]], CL[jb[sel]]
-        swap = (eb < ea) | ((eb == ea) & (cb < ca))
-        ea, eb = np.where(swap, eb, ea), np.where(swap, ea, eb)
-        ca, cb = np.where(swap, cb, ca), np.where(swap, ca, cb)
-        cmin, cmax = np.minimum(ca, cb), np.maximum(ca, cb)
-        allowed = (
-            ((cmin == 2) & (cmax == 3))
-            | ((cmin == 3) & (cmax == 4))
-            | ((cmin == 4) & (cmax == 5))
-        )
-        clean = perp & allowed
-        for pos in np.nonzero(~clean)[0]:
-            _finish_pair(t, int(ia[sel[pos]]), int(jb[sel[pos]]), rows, defects)
-        keep = np.nonzero(clean)[0]
-        if len(keep):
-            col_chunks.append(
-                (
-                    ea[keep],
-                    eb[keep],
-                    ca[keep],
-                    cb[keep],
-                    xn[keep],
-                    yn[keep],
-                    dn_s[keep],
-                    perp[keep],
-                )
-            )
+    i, j, p, q = i[keep], j[keep], p[keep], q[keep]
+    l3 = t.l3
+    for chunks, col in zip(
+        col_chunks,
+        (
+            t.edges[i],
+            t.edges[j],
+            t.classes[i],
+            t.classes[j],
+            p * l3 + q,
+            p - q * l3,
+            np.full(len(keep), l3 * l3 + 1, dtype=t.dtype),
+            np.ones(len(keep), dtype=bool),
+        ),
+    ):
+        chunks.append(col)
+
+
+def _confirm_general(t: _Table, i, j, rows, defects) -> None:
+    """Drop pairs that are disjoint or share just an endpoint, in vector form.
+
+    Only POS x NEG pairs cross in a drawing the layout engine made, so the
+    pairs left here are rare defects; the exact scalar classifier reports them.
+    """
+    AX, AY, BX, BY = t.coords
+    ax, ay = AX[i], AY[i]
+    ux, uy = BX[i] - ax, BY[i] - ay
+    cx, cy = AX[j], AY[j]
+    vx, vy = BX[j] - cx, BY[j] - cy
+    rx, ry = cx - ax, cy - ay
+    den = ux * vy - uy * vx
+    tn = rx * vy - ry * vx
+    un = rx * uy - ry * ux
+    neg = den < 0
+    den = np.where(neg, -den, den)
+    tn = np.where(neg, -tn, tn)
+    un = np.where(neg, -un, un)
+    inside = (tn >= 0) & (tn <= den) & (un >= 0) & (un <= den)
+    shared = ((tn == 0) | (tn == den)) & ((un == 0) | (un == den))
+    hit = np.where(den == 0, ux * ry - uy * rx == 0, inside & ~shared)
+    _finish_pairs(t, i[hit], j[hit], rows, defects)
+
+
+def _run_filtered(t: _Table, rows: list, col_chunks: list, defects: list) -> None:
+    for fa, fb, ia, jb in _family_pair_candidates(t):
+        if (fa, fb) == (_POS, _NEG):
+            _confirm_rotated(t, ia, jb, rows, col_chunks, defects)
+        else:
+            _confirm_general(t, ia, jb, rows, defects)
 
 
 def _run_brute(t: _Table, rows: list, defects: list) -> None:
@@ -620,39 +625,31 @@ def _run_brute(t: _Table, rows: list, defects: list) -> None:
             finish(t, i, act[b_pos], rows, defects)
 
 
+def _int_column(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def _assemble_columns(rows: list, col_chunks: list) -> tuple:
-    """Merge row tuples and columnar chunks into canonically sorted columns."""
-    if col_chunks:
-        if rows:
-            by_col = list(zip(*rows))
-            col_chunks.append(
-                tuple(np.array(c, dtype=np.int64) for c in by_col[:7])
-                + (np.array(by_col[7], dtype=bool),)
-            )
-        cols = tuple(
-            np.concatenate([chunk[k] for chunk in col_chunks]) for k in range(8)
-        )
-        order = np.lexsort((cols[3], cols[2], cols[1], cols[0]))
-        return tuple(c[order] for c in cols)
-    if not rows:
-        return ((), (), (), (), (), (), (), ())
-    rows.sort()
-    return tuple(zip(*rows))
+    """Unsorted crossing columns from vector chunks and scalar rows.
 
-
-def _pair_count_histogram(cols: tuple) -> dict[str, int]:
-    ca, cb = cols[2], cols[3]
-    if len(ca) == 0:
-        return {}
-    if isinstance(ca, np.ndarray):
-        cmin, cmax = np.minimum(ca, cb), np.maximum(ca, cb)
-        codes, counts = np.unique(cmin * 10 + cmax, return_counts=True)
-        return {
-            f"S{int(code) // 10}xS{int(code) % 10}": int(count)
-            for code, count in zip(codes, counts)
-        }
-    counter = Counter((min(a, b), max(a, b)) for a, b in zip(ca, cb))
-    return {f"S{a}xS{b}": count for (a, b), count in sorted(counter.items())}
+    Integer columns are int64, or object where a value exceeds int64.
+    """
+    if rows:
+        by_col = list(zip(*rows))
+        for k in range(7):
+            col_chunks[k].append(_int_column(by_col[k]))
+        col_chunks[7].append(np.array(by_col[7], dtype=bool))
+    cols = []
+    for k, chunks in enumerate(col_chunks):
+        if chunks:
+            cols.append(np.concatenate(chunks))
+            chunks.clear()
+        else:
+            cols.append(np.zeros(0, dtype=bool if k == 7 else np.int64))
+    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -686,24 +683,22 @@ def validate(
     """
     t = _Table(d)
     rows: list = []
-    col_chunks: list = []
+    col_chunks: list = [[] for _ in range(8)]
     defects: list[Defect] = []
     _scan_zero_length(t, defects)
     _scan_coincident_points(d, defects)
-    _scan_vertex_piercings(d, t, defects)
+    _scan_vertex_piercings(t, defects)
     if mode is ValidationMode.BRUTE_FORCE:
         _run_brute(t, rows, defects)
     else:
-        _run_filtered(t, d.params, rows, col_chunks, defects)
-    cols = _assemble_columns(rows, col_chunks)
+        _run_filtered(t, rows, col_chunks, defects)
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
         m=d.m,
         violations=tuple(defects),
         bbox=bounding_box(d),
-        pair_counts=_pair_count_histogram(cols),
-        crossing_columns=cols,
+        crossing_columns=_assemble_columns(rows, col_chunks),
     )
 
 

@@ -97,6 +97,17 @@ class TestDrawingDocument:
         with pytest.raises(NonIntegerCoordinateError):
             document_to_drawing(doc)
 
+    @pytest.mark.parametrize(
+        "text", ["007", "-0", "5\n", "+5", " 5", "5 ", "", "-", "\uff15"]
+    )
+    def test_non_canonical_integer_rejected(self, k16, text):
+        doc = drawing_to_document(k16)
+        doc["vertices"][0]["x"] = text
+        with pytest.raises(NonIntegerCoordinateError) as err:
+            document_to_drawing(doc)
+        assert err.value.value == text
+        assert repr(text) in str(err.value)
+
     def test_raw_number_rejected(self, k16):
         doc = drawing_to_document(k16)
         doc["edges"][0]["bends"][0][0] = 3

@@ -1,7 +1,12 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
+
+from conftest import random_graph
 
 from racdraw import (
     DefectKind,
@@ -20,6 +25,8 @@ from racdraw import (
     stats,
     validate,
 )
+from racdraw import validator
+from racdraw.validator import _Table
 
 BRUTE = ValidationMode.BRUTE_FORCE
 FILTERED = ValidationMode.FILTERED
@@ -284,9 +291,9 @@ class TestFilteredPairStream:
         candidates = list(filtered_pair_stream(k16))
         total_pairs = 840 * 839 // 2
         assert len(candidates) < total_pairs
-        # Recorded at 18505 for the 16-vertex complete drawing (a 94.7%
+        # Recorded at 11117 for the 16-vertex complete drawing (a 96.8%
         # reduction); allow drift only downward if the filter tightens.
-        assert len(candidates) <= 18505
+        assert len(candidates) <= 11117
 
     def test_same_slope_family_pairs_never_crossing_candidates(self, k16):
         rising = {SegmentClass.S2, SegmentClass.S4}
@@ -299,7 +306,149 @@ class TestFilteredPairStream:
             assert not (ca in falling and cb in falling)
             assert not (ca is SegmentClass.S6 and cb is SegmentClass.S6)
 
+    def test_chunk_size_does_not_change_result(self, k16, k16_filtered, monkeypatch):
+        report, _ = k16_filtered
+        candidates = list(filtered_pair_stream(k16))
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", 7)
+        assert list(filtered_pair_stream(k16)) == candidates
+        assert validate(k16, FILTERED).to_json_bytes() == report.to_json_bytes()
+
     def test_single_edge_has_no_cross_edge_pairs(self):
         d = draw_graph(GraphInput(5, ((0, 4),)))
         for cand in filtered_pair_stream(d):
             assert cand.a[0] == cand.b[0] == 0
+
+
+def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
+    """``d`` moved rigidly: x mirrored or the plane turned by 180 degrees,
+    then translated by (dx, dy); optionally with the edge order reversed."""
+    sx = -1 if mirror or rotate else 1
+    sy = -1 if rotate else 1
+
+    def move(pt):
+        return Point(sx * pt.x + dx, sy * pt.y + dy)
+
+    placements = {v: (lp, move(pt)) for v, (lp, pt) in d.placements.items()}
+    edges = tuple(
+        replace(
+            poly,
+            source_pt=move(poly.source_pt),
+            target_pt=move(poly.target_pt),
+            bends=tuple(move(b) for b in poly.bends),
+        )
+        for poly in d.edges
+    )
+    return Drawing(d.params, placements, edges[::-1] if reverse else edges)
+
+
+class TestMagnitudeRegimes:
+    # Each offset drives the vector path into one dtype regime: int64 up to
+    # 2**29 (8 * max_abs**2 stays below 2**62), NumPy object ints beyond.
+    OFFSETS = {20: np.int64, 29: np.int64, 40: object, 63: object, 70: object}
+    VARIANTS = {
+        "translated": {},
+        "mirrored": {"mirror": True},
+        "rotated": {"rotate": True},
+        "reversed": {"reverse": True},
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("bits", sorted(OFFSETS))
+    def test_modes_agree_on_moved_k16(self, k16, bits, variant):
+        d = _transform(k16, 1 << bits, -(1 << bits), **self.VARIANTS[variant])
+        assert _Table(d).dtype is self.OFFSETS[bits]
+        filtered = validate(d, FILTERED)
+        assert filtered.to_json_bytes() == validate(d, BRUTE).to_json_bytes()
+        assert filtered.violations == ()
+        assert filtered.crossing_count == K16_CROSSINGS
+        assert filtered.pair_counts == K16_PAIR_COUNTS
+
+    # Corruptions as (defect expected, participants or None, moved bends).
+    # The touches keep both segments in their exact slope families: a POS
+    # end on a NEG interior, and a NEG end on a POS interior.
+    CORRUPTIONS = {
+        "bent": (DefectKind.NON_PERPENDICULAR_CROSSING, None, ((3, 1, Point(81, 10)),)),
+        "pos-end": (
+            DefectKind.ENDPOINT_TOUCHES_INTERIOR,
+            ("segment:3:S3", "segment:54:S2"),
+            ((54, 0, Point(-7, -9)), (54, 1, Point(81, 2))),
+        ),
+        "neg-end": (
+            DefectKind.ENDPOINT_TOUCHES_INTERIOR,
+            ("segment:3:S3", "segment:54:S2"),
+            ((3, 1, Point(50, 11)), (3, 2, Point(59, -61))),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("bits", [0, 20, 70])
+    def test_corruptions_flagged_at_every_magnitude(self, k16, bits, name):
+        kind, participants, moves = self.CORRUPTIONS[name]
+        bad = k16
+        for edge, index, point in moves:
+            bad = _replace_bend(bad, edge, index, point)
+        bad = _transform(bad, 1 << bits, 1 << bits)
+        report = validate(bad, FILTERED)
+        flagged = {d.participants for d in report.violations if d.kind is kind}
+        assert flagged if participants is None else participants in flagged
+        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
+
+
+def _reference_piercings(d):
+    """Plain O(n * P) scan for vertices strictly inside a segment."""
+    found = set()
+    for e_idx, poly in enumerate(d.edges):
+        for cls, p, q in poly.segments:
+            ux, uy = q.x - p.x, q.y - p.y
+            for v, (_, pt) in d.placements.items():
+                wx, wy = pt.x - p.x, pt.y - p.y
+                if ux * wy - uy * wx == 0 and 0 < ux * wx + uy * wy < ux * ux + uy * uy:
+                    found.add((f"segment:{e_idx}:S{cls.value}", f"vertex:{v}", f"{pt.x},{pt.y}"))
+    return found
+
+
+def _reported_piercings(report):
+    return {
+        (*d.participants, *d.location)
+        for d in report.violations
+        if d.kind is DefectKind.SEGMENT_THROUGH_VERTEX
+    }
+
+
+def _pierce(d, rng):
+    """Move some vertices onto lattice points on, beside and at the ends of
+    random segments: inside, past either end, or on an endpoint."""
+    placements = dict(d.placements)
+    if not d.edges:
+        return d
+    for v in rng.sample(sorted(placements), min(len(placements), 6)):
+        _, p, q = rng.choice(rng.choice(d.edges).segments)
+        ux, uy = q.x - p.x, q.y - p.y
+        g = gcd(ux, uy)
+        k = rng.choice([1, g - 1, g // 2, 0, g, -1, g + 1])
+        placements[v] = (placements[v][0], Point(p.x + k * ux // g, p.y + k * uy // g))
+    return Drawing(d.params, placements, d.edges)
+
+
+class TestVertexPiercingSweep:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_reference_on_random_drawings(self, seed):
+        rng = random.Random(seed)
+        d = _pierce(draw_graph(random_graph(rng, max_n=30, max_m=40)), rng)
+        bits = rng.choice([0, 20, 40, 70])
+        d = _transform(d, 1 << bits, -(1 << bits), rotate=rng.random() < 0.5)
+        assert _reported_piercings(validate(d, FILTERED)) == _reference_piercings(d)
+
+    def test_matches_reference_on_pierced_drawings(self, k16):
+        through = _replace_bend(k16, 3, 4, Point(12, -95))
+        through = _replace_bend(through, 3, 5, Point(12, -50))
+        base = draw_graph(GraphInput(5, ((0, 4),)))
+        placements = dict(base.placements)
+        placements[1] = (placements[1][0], Point(20, -80))
+        isolated = Drawing(base.params, placements, base.edges)
+        for d in (k16, through, isolated):
+            reported = _reported_piercings(validate(d, FILTERED))
+            assert reported == _reference_piercings(d)
+        assert _reported_piercings(validate(isolated, BRUTE)) == {
+            ("segment:0:S6", "vertex:1", "20,-80")
+        }
