@@ -10,9 +10,9 @@ from .layout import (
     GraphInput,
     draw_complete,
     draw_graph,
+    first_bend_index,
     params_from_n,
-    place_vertices,
-    route_edge,
+    vertex_slot,
 )
 from .model import (
     Crossing,
@@ -20,17 +20,17 @@ from .model import (
     Defect,
     DefectKind,
     Drawing,
-    EdgePolyline,
-    GridParams,
-    LevelPos,
     Point,
     SegmentClass,
+    ceil_fourth_root,
     perpendicular,
 )
 from .io import (
+    DerivedFieldError,
     DocumentError,
     DuplicateEdgeError,
     EdgeListError,
+    IntegerTooLongError,
     MalformedLineError,
     MissingHeaderError,
     NonIntegerCoordinateError,
@@ -65,14 +65,13 @@ __all__ = [
     "CrossingReport",
     "Defect",
     "DefectKind",
+    "DerivedFieldError",
     "DocumentError",
     "Drawing",
     "DuplicateEdgeError",
     "EdgeListError",
-    "EdgePolyline",
     "GraphInput",
-    "GridParams",
-    "LevelPos",
+    "IntegerTooLongError",
     "MalformedLineError",
     "MissingHeaderError",
     "NonIntegerCoordinateError",
@@ -86,21 +85,22 @@ __all__ = [
     "ValidationMode",
     "VertexRangeError",
     "bounding_box",
+    "ceil_fourth_root",
     "draw_complete",
     "draw_graph",
     "dumps_drawing",
     "filtered_pair_stream",
+    "first_bend_index",
     "loads_drawing",
     "params_from_n",
     "parse_edge_list",
     "perpendicular",
-    "place_vertices",
     "read_drawing",
     "render_svg",
-    "route_edge",
     "segment_pair",
     "serialize_edge_list",
     "stats",
     "validate",
+    "vertex_slot",
     "write_drawing",
 ]

@@ -15,7 +15,8 @@ from statistics import median
 from time import perf_counter
 
 from .io import dumps_drawing, loads_drawing, parse_edge_list
-from .layout import GraphInput, draw_complete, draw_graph, params_from_n
+from .layout import GraphInput, draw_complete, draw_graph
+from .model import ceil_fourth_root
 from .svg import SvgOptions, render_svg
 from .validator import ValidationMode, stats, validate
 
@@ -62,10 +63,10 @@ def cmd_draw(args) -> int:
         graph = GraphInput(args.n)
     else:
         graph = parse_edge_list(_read_text(args.input))
-    params = params_from_n(graph.n)
-    if params.l > DEFAULT_L_CAP and not args.allow_large:
+    l = ceil_fourth_root(graph.n)
+    if l > DEFAULT_L_CAP and not args.allow_large:
         raise CliError(
-            f"l={params.l} exceeds the default cap {DEFAULT_L_CAP}; "
+            f"l={l} exceeds the default cap {DEFAULT_L_CAP}; "
             "pass --allow-large to proceed"
         )
     drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)

@@ -10,7 +10,10 @@ Drawing documents are JSON with every numeric value encoded as a decimal
 integer string: coordinates can exceed 2**53, and downstream consumers must
 not be tempted into lossy float parsing. Serialization is byte-stable
 (sorted keys, fixed separators), so identical drawings produce identical
-files.
+files. A document repeats some values the layout derives from ``n`` and the
+vertex ids (``l``, ``params``, vertex ``level``/``pos``, edge ``k``); the
+loader accepts them only when they equal the derived values, so every
+accepted document is exactly the one its drawing writes back.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import json
 import re
 
-from .layout import GraphInput, params_from_n
-from .model import Drawing, EdgePolyline, GridParams, LevelPos, Point
+import numpy as np
+
+from .layout import GraphInput, first_bend_index, params_from_n
+from .model import Drawing, int_column
 
 SCHEMA = "rac-drawing/1"
 
@@ -117,59 +122,61 @@ class NonIntegerCoordinateError(DocumentError):
         self.value = value
 
 
+class IntegerTooLongError(DocumentError):
+    """A canonical integer string has more digits than the interpreter's
+    integer conversion limit (``sys.get_int_max_str_digits``) admits."""
+
+    def __init__(self, context: str, digits: int):
+        super().__init__(f"{context}: integer of {digits} digits exceeds the limit")
+        self.context = context
+        self.digits = digits
+
+
+class DerivedFieldError(DocumentError):
+    """A field the layout derives from ``n`` and the vertex ids (``l``,
+    ``params``, a vertex's ``level``/``pos``, an edge's ``k``) disagrees
+    with the derived value."""
+
+    def __init__(self, context: str, value: str, expected: int):
+        super().__init__(f"{context} is {value!r}, but n and the ids give {expected}")
+        self.context = context
+        self.value = value
+        self.expected = expected
+
+
 def _read_int(value, context: str) -> int:
     if not isinstance(value, str) or not _INT_RE.fullmatch(value):
         raise NonIntegerCoordinateError(context, value)
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise IntegerTooLongError(context, len(value.lstrip("-"))) from None
+
+
+def _check_derived(value, expected: int, context: str) -> None:
+    """Accept ``value`` only as the canonical string of ``expected``."""
+    if value != str(expected):
+        _read_int(value, context)
+        raise DerivedFieldError(context, value, expected)
+
+
+_VERTEX_KEYS = {"id", "level", "pos", "x", "y"}
+_EDGE_KEYS = {"source", "target", "k", "bends"}
 
 
 def drawing_to_document(d: Drawing) -> dict:
     """Plain-dict document form of a drawing, all numbers as strings."""
-    p = d.params
-    return {
-        "schema": SCHEMA,
-        "n": str(d.n),
-        "m": str(d.m),
-        "l": str(p.l),
-        "params": {
-            "n_input": str(p.n_input),
-            "l": str(p.l),
-            "capacity": str(p.capacity),
-            "levels": str(p.levels),
-            "per_level": str(p.per_level),
-            "slope_num": str(p.slope_num),
-            "slope_den": str(p.slope_den),
-            "level_gap": str(p.level_gap),
-            "col_gap": str(p.col_gap),
-            "level_shift": str(p.level_shift),
-        },
-        "vertices": [
-            {
-                "id": str(v),
-                "level": str(lp.level),
-                "pos": str(lp.pos),
-                "x": str(pt.x),
-                "y": str(pt.y),
-            }
-            for v, (lp, pt) in sorted(d.placements.items())
-        ],
-        "edges": [
-            {
-                "source": str(poly.source),
-                "target": str(poly.target),
-                "k": str(poly.k),
-                "bends": [[str(b.x), str(b.y)] for b in poly.bends],
-            }
-            for poly in d.edges
-        ],
-    }
+    return json.loads(dumps_drawing(d))
 
 
 def document_to_drawing(doc: dict) -> Drawing:
     """Rebuild a Drawing from its document form, validating the schema.
 
-    Geometry is taken at face value (certification is the validator's job);
-    only structure and integer encoding are enforced here.
+    Geometry is taken at face value (certification is the validator's job).
+    Structure and integer encoding are enforced, vertices must be listed in
+    id order, and every derived field must equal the value derived from
+    ``n`` and the ids, so ``drawing_to_document`` gives back exactly the
+    document that was read.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -182,91 +189,97 @@ def document_to_drawing(doc: dict) -> Drawing:
         )
     n = _read_int(doc["n"], "n")
     m = _read_int(doc["m"], "m")
+    if n < 1:
+        raise DocumentError("empty graph: n must be at least 1")
+    params = params_from_n(n)
     praw = doc["params"]
-    if not isinstance(praw, dict):
-        raise DocumentError("params must be an object")
-    try:
-        params = GridParams(
-            n_input=_read_int(praw["n_input"], "params.n_input"),
-            l=_read_int(praw["l"], "params.l"),
-            capacity=_read_int(praw["capacity"], "params.capacity"),
-            levels=_read_int(praw["levels"], "params.levels"),
-            per_level=_read_int(praw["per_level"], "params.per_level"),
-            slope_num=_read_int(praw["slope_num"], "params.slope_num"),
-            slope_den=_read_int(praw["slope_den"], "params.slope_den"),
-            level_gap=_read_int(praw["level_gap"], "params.level_gap"),
-            col_gap=_read_int(praw["col_gap"], "params.col_gap"),
-            level_shift=_read_int(praw["level_shift"], "params.level_shift"),
-        )
-    except KeyError as exc:
-        raise DocumentError(f"params missing field {exc.args[0]!r}")
-    except ValueError as exc:
-        raise DocumentError(f"invalid params: {exc}")
-    if _read_int(doc["l"], "l") != params.l:
-        raise DocumentError("top-level l disagrees with params.l")
-    if params.n_input != n:
-        raise DocumentError("params.n_input disagrees with n")
+    if not isinstance(praw, dict) or set(praw) != set(params):
+        raise DocumentError(f"params must be an object with keys {sorted(params)}")
+    for key, value in params.items():
+        _check_derived(praw[key], value, f"params.{key}")
+    l = params["l"]
+    _check_derived(doc["l"], l, "l")
 
     vraw = doc["vertices"]
     if not isinstance(vraw, list) or len(vraw) != n:
         raise DocumentError("vertices must list exactly n entries")
-    placements: dict[int, tuple[LevelPos, Point]] = {}
-    for entry in vraw:
-        if not isinstance(entry, dict) or set(entry) != {"id", "level", "pos", "x", "y"}:
+    s = l * l
+    slots = [str(i) for i in range(1, s + 1)]
+    points: list[int] = []
+    for v, entry in enumerate(vraw):
+        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
             raise DocumentError(f"bad vertex entry: {entry!r}")
-        vid = _read_int(entry["id"], "vertex.id")
-        if vid in placements or not 0 <= vid < n:
-            raise DocumentError(f"bad or duplicate vertex id {vid}")
-        lp = LevelPos(
-            _read_int(entry["level"], "vertex.level"),
-            _read_int(entry["pos"], "vertex.pos"),
-        )
-        if not (1 <= lp.level <= params.levels and 1 <= lp.pos <= params.per_level):
-            raise DocumentError(f"vertex {vid} slot out of range")
-        placements[vid] = (
-            lp,
-            Point(_read_int(entry["x"], "vertex.x"), _read_int(entry["y"], "vertex.y")),
-        )
+        if entry["id"] != str(v):
+            _read_int(entry["id"], "vertex.id")
+            raise DocumentError(
+                f"vertex entry {v} has id {entry['id']}; vertices must be listed by id"
+            )
+        if entry["level"] != slots[v // s]:
+            _check_derived(entry["level"], v // s + 1, "vertex.level")
+        if entry["pos"] != slots[v % s]:
+            _check_derived(entry["pos"], v % s + 1, "vertex.pos")
+        points.append(_read_int(entry["x"], "vertex.x"))
+        points.append(_read_int(entry["y"], "vertex.y"))
 
     eraw = doc["edges"]
     if not isinstance(eraw, list) or len(eraw) != m:
         raise DocumentError("edges must list exactly m entries")
-    polylines = []
+    ends: list[int] = []
+    bends: list[int] = []
     for entry in eraw:
-        if not isinstance(entry, dict) or set(entry) != {"source", "target", "k", "bends"}:
+        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise DocumentError(f"bad edge entry: {entry!r}")
         src = _read_int(entry["source"], "edge.source")
         dst = _read_int(entry["target"], "edge.target")
-        if src not in placements or dst not in placements or src == dst:
+        if not (0 <= src < n and 0 <= dst < n) or src == dst:
             raise DocumentError(f"bad edge endpoints ({src}, {dst})")
+        _check_derived(entry["k"], first_bend_index(l, dst), "edge.k")
         bends_raw = entry["bends"]
         if not isinstance(bends_raw, list) or len(bends_raw) != 6:
             raise DocumentError("each edge needs exactly 6 bends")
-        bends = []
         for pair in bends_raw:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise DocumentError(f"bad bend entry: {pair!r}")
-            bends.append(
-                Point(_read_int(pair[0], "bend.x"), _read_int(pair[1], "bend.y"))
-            )
-        polylines.append(
-            EdgePolyline(
-                source=src,
-                target=dst,
-                source_lp=placements[src][0],
-                target_lp=placements[dst][0],
-                source_pt=placements[src][1],
-                target_pt=placements[dst][1],
-                k=_read_int(entry["k"], "edge.k"),
-                bends=tuple(bends),
-            )
-        )
-    return Drawing(params, placements, tuple(polylines))
+            bends.append(_read_int(pair[0], "bend.x"))
+            bends.append(_read_int(pair[1], "bend.y"))
+        ends.append(src)
+        ends.append(dst)
+    return Drawing(
+        int_column(points).reshape(-1, 2),
+        np.array(ends, dtype=np.int64).reshape(-1, 2),
+        int_column(bends).reshape(-1, 6, 2),
+    )
+
+
+# One edge of the document: six bends, then k, source and target.
+_EDGE_TEMPLATE = (
+    '{"bends":[' + ",".join(['["%d","%d"]'] * 6) + '],"k":"%d","source":"%d","target":"%d"}'
+)
 
 
 def dumps_drawing(d: Drawing) -> str:
-    """Byte-stable JSON text for a drawing (no trailing newline)."""
-    return json.dumps(drawing_to_document(d), sort_keys=True, separators=(",", ":"))
+    """Byte-stable JSON text for a drawing (no trailing newline).
+
+    Written straight from the arrays, as ``json.dumps`` with sorted keys and
+    separators ``(",", ":")`` would write the document: every key and value
+    is a fixed ASCII name or a decimal integer string, so nothing needs
+    escaping.
+    """
+    n, m, l = d.n, d.m, d.l
+    s = l * l
+    params = ",".join(f'"{key}":"{v}"' for key, v in sorted(params_from_n(n).items()))
+    vertices = ",".join(
+        f'{{"id":"{v}","level":"{v // s + 1}","pos":"{v % s + 1}","x":"{x}","y":"{y}"}}'
+        for v, (x, y) in enumerate(d.vertices.tolist())
+    )
+    edges = ",".join(
+        _EDGE_TEMPLATE % (*bends, first_bend_index(l, b), a, b)
+        for (a, b), bends in zip(d.endpoints.tolist(), d.bends.reshape(-1, 12).tolist())
+    )
+    return (
+        f'{{"edges":[{edges}],"l":"{l}","m":"{m}","n":"{n}","params":{{{params}}},'
+        f'"schema":"{SCHEMA}","vertices":[{vertices}]}}'
+    )
 
 
 def loads_drawing(text: str) -> Drawing:

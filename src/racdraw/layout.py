@@ -7,19 +7,24 @@ bends; the two long diagonal segment families have exact slopes ``1/l**3``
 and ``-l**3``, so any crossing between them is a right angle by arithmetic,
 not by tolerance.
 
-Routing one edge costs O(1) and touches nothing but the two endpoints, so a
-whole drawing is O(n + m) and per-edge output never depends on which other
-edges are present.
+Everything here is a function of ``l`` and the vertex ids: the grid
+constants (``params_from_n``), a vertex's slot (``vertex_slot``) and an
+edge's first-bend index (``first_bend_index``). ``draw_graph`` places the
+vertices and routes the edges in one pass that writes flat Python ints and
+turns them into the drawing's arrays once. Routing one edge costs O(1) and
+touches nothing but the two endpoints, so a whole drawing is O(n + m) and
+per-edge output never depends on which other edges are present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 from typing import Iterable
 
-from .model import Drawing, EdgePolyline, GridParams, LevelPos, Point
+import numpy as np
+
+from .model import Drawing, ceil_fourth_root, int_column
 
 
 @dataclass(frozen=True)
@@ -44,124 +49,91 @@ class GraphInput:
             seen.add(key)
 
 
-def params_from_n(n: int) -> GridParams:
-    """Grid constants for an ``n``-vertex drawing.
+def params_from_n(n: int) -> dict[str, int]:
+    """Every layout constant of an ``n``-vertex drawing, keyed as in a
+    drawing document's ``params``.
 
-    ``l`` is found by exact integer search (two nested integer square
-    roots), never by floating-point root extraction.
+    The grid provisions ``capacity = l**4`` vertex slots in ``levels``
+    levels of ``per_level`` positions. The slope families of crossing
+    segments are ``slope_num/slope_den`` (= 1/l^3) and its negative
+    reciprocal, exactly perpendicular by construction.
     """
-    if n < 1:
-        raise ValueError("empty graph")
-    l = isqrt(isqrt(n))
-    if l**4 < n:
-        l += 1
-    return GridParams(
-        n_input=n,
-        l=l,
-        capacity=l**4,
-        levels=l * l,
-        per_level=l * l,
-        slope_num=1,
-        slope_den=l**3,
-        level_gap=8 * l**3 + l + 1,
-        col_gap=l**4 + 1,
-        level_shift=l * l + 8,
-    )
+    l = ceil_fourth_root(n)
+    return {
+        "n_input": n,
+        "l": l,
+        "capacity": l**4,
+        "levels": l * l,
+        "per_level": l * l,
+        "slope_num": 1,
+        "slope_den": l**3,
+        "level_gap": 8 * l**3 + l + 1,
+        "col_gap": l**4 + 1,
+        "level_shift": l * l + 8,
+    }
 
 
-def place_vertices(params: GridParams, n: int) -> dict[int, tuple[LevelPos, Point]]:
-    """Map each vertex id to its (level, position) slot and grid point.
+def vertex_slot(l: int, v: int) -> tuple[int, int]:
+    """(level, position) of vertex ``v``, both counted from 1 (row-major)."""
+    i, j = divmod(v, l * l)
+    return i + 1, j + 1
 
-    Row-major: vertex v sits at level v // per_level + 1, position
-    v % per_level + 1. Level 1 has y = 0 and each deeper level drops by
-    ``level_gap`` and shifts right by ``level_shift``; neighbours within a
-    level are ``col_gap`` apart.
+
+def first_bend_index(l: int, target: int) -> int:
+    """The first-bend index k = u*s - w + 1 that encodes the target slot
+    (level u, position w; s = l**2): bend a sits k right of the source."""
+    u, w = vertex_slot(l, target)
+    return u * l * l - w + 1
+
+
+def _draw(n: int, edges: Iterable[tuple[int, int]]) -> Drawing:
+    """Place the ``n`` vertices and route ``edges`` in one pass.
+
+    Vertex v sits at level i = v // s + 1, position j = v % s + 1: level 1
+    has y = 0, each deeper level drops by ``level_gap`` and shifts right by
+    ``level_shift``, and neighbours within a level are ``col_gap`` apart.
+    An edge runs from its smaller id (i, j) down to the larger (u, w). Bend
+    a sits k = u*s - w + 1 right of the source and one unit up; S2 rises
+    right at slope 1/l^3, S3 falls at slope -l^3 into the target's level
+    strip, S4/S5 mirror them back, S6 climbs vertically to just below the
+    target, and S7 closes the edge.
     """
-    if n > params.capacity:
-        raise ValueError("capacity exceeded")
-    s = params.per_level
-    out: dict[int, tuple[LevelPos, Point]] = {}
+    p = params_from_n(n)
+    l, s, cap, l3 = p["l"], p["per_level"], p["capacity"], p["slope_den"]
+    gap, col, shift = p["level_gap"], p["col_gap"], p["level_shift"]
+    points: list[int] = []
     for v in range(n):
-        i, j = v // s + 1, v % s + 1
-        pt = Point(
-            (i - 1) * params.level_shift + (j - 1) * params.col_gap,
-            -(i - 1) * params.level_gap,
-        )
-        out[v] = (LevelPos(i, j), pt)
-    return out
-
-
-def route_edge(
-    params: GridParams,
-    src: tuple[LevelPos, Point],
-    dst: tuple[LevelPos, Point],
-) -> EdgePolyline:
-    """Compute the six-bend polyline from ``src`` down to ``dst``.
-
-    ``src`` must precede ``dst`` in (level, position) order. The first bend
-    index k encodes the target slot (k = u*s - w + 1 for target level u,
-    position w); segment S2 rises right at slope 1/l^3, S3 falls at slope
-    -l^3 into the target's level strip, S4/S5 mirror them back, S6 climbs
-    vertically to just below the target, and S7 closes the edge.
-    """
-    (slp, spt), (dlp, dpt) = src, dst
-    if (slp.level, slp.pos) >= (dlp.level, dlp.pos):
-        raise ValueError("invalid edge orientation")
-    l = params.l
-    s = params.per_level
-    cap = params.capacity
-    l3 = params.slope_den
-    i, j = slp.level, slp.pos
-    u, w = dlp.level, dlp.pos
-
-    k = u * s - w + 1
-    rise = s - j + i  # S2 vertical budget, in units of l
-    run = 8 * (u - i + 1) - 1  # S3 horizontal extent
-    drop = i + s - w  # S4 vertical budget, in units of l
-
-    ax, ay = spt.x + k, spt.y + 1
-    bx, by = ax + rise * cap + l3, ay + rise * l + 1
-    cx, cy = bx + run, by - run * l3
-    dx, dy = cx - drop * cap - l3, cy - drop * l - 1
-    ex, ey = dx - 3, dy + 3 * l3
-    fx, fy = ex, dpt.y - 1
-
-    return EdgePolyline(
-        source=(i - 1) * s + j - 1,
-        target=(u - 1) * s + w - 1,
-        source_lp=slp,
-        target_lp=dlp,
-        source_pt=spt,
-        target_pt=dpt,
-        k=k,
-        bends=(
-            Point(ax, ay),
-            Point(bx, by),
-            Point(cx, cy),
-            Point(dx, dy),
-            Point(ex, ey),
-            Point(fx, fy),
-        ),
-    )
-
-
-def _route_all(
-    params: GridParams,
-    placements: dict[int, tuple[LevelPos, Point]],
-    edge_iter: Iterable[tuple[int, int]],
-) -> tuple[EdgePolyline, ...]:
-    # Vertex ids are row-major in (level, pos), so id order is drawing order.
-    return tuple(
-        route_edge(params, placements[min(u, v)], placements[max(u, v)])
-        for u, v in edge_iter
+        i, j = divmod(v, s)
+        points += (i * shift + j * col, -i * gap)
+    ends: list[int] = []
+    bends: list[int] = []
+    for a, b in edges:
+        if a > b:
+            a, b = b, a
+        i, j = divmod(a, s)
+        u, w = divmod(b, s)
+        # 0-based here: the docstring's slots are (i+1, j+1) and (u+1, w+1).
+        k = u * s + s - w
+        rise = s - j + i  # S2 vertical budget, in units of l
+        run = 8 * (u - i + 1) - 1  # S3 horizontal extent
+        drop = i + s - w  # S4 vertical budget, in units of l
+        ax, ay = points[2 * a] + k, points[2 * a + 1] + 1
+        bx, by = ax + rise * cap + l3, ay + rise * l + 1
+        cx, cy = bx + run, by - run * l3
+        dx, dy = cx - drop * cap - l3, cy - drop * l - 1
+        ex, ey = dx - 3, dy + 3 * l3
+        ends += (a, b)
+        bends += (ax, ay, bx, by, cx, cy, dx, dy, ex, ey, ex, points[2 * b + 1] - 1)
+    return Drawing(
+        int_column(points).reshape(-1, 2),
+        np.array(ends, dtype=np.int64).reshape(-1, 2),
+        int_column(bends).reshape(-1, 6, 2),
     )
 
 
 def draw_graph(g: GraphInput) -> Drawing:
     """Place all vertices of ``g`` and route every edge; O(n + m)."""
-    params = params_from_n(g.n)
-    placements = place_vertices(params, g.n)
-    return Drawing(params, placements, _route_all(params, placements, g.edges))
+    return _draw(g.n, g.edges)
 
 
 def draw_complete(n: int) -> Drawing:
@@ -170,8 +142,4 @@ def draw_complete(n: int) -> Drawing:
     Equivalent to ``draw_graph`` on K_n but streams the vertex pairs instead
     of materializing an edge list first.
     """
-    params = params_from_n(n)
-    placements = place_vertices(params, n)
-    return Drawing(
-        params, placements, _route_all(params, placements, combinations(range(n), 2))
-    )
+    return _draw(n, combinations(range(n), 2))

@@ -4,6 +4,11 @@ Everything geometric in this package is exact: grid coordinates are Python
 integers (arbitrary precision), crossing locations are `fractions.Fraction`
 pairs. No value in this module ever passes through binary floating point.
 
+A ``Drawing`` stores each fact once, as three integer arrays: the vertex
+points, the endpoint ids of each edge, and the six bends of each edge.
+Everything else (``l``, the grid constants, vertex slots, the first-bend
+index ``k``, the 8-point polylines) is derived from them on demand.
+
 All types are immutable values and safe to share across threads.
 """
 
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -23,14 +28,6 @@ class Point:
 
     x: int
     y: int
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class LevelPos:
-    """Address of a vertex slot: level (1 = highest row) and position (1 = leftmost)."""
-
-    level: int
-    pos: int
 
 
 class SegmentClass(IntEnum):
@@ -45,47 +42,13 @@ class SegmentClass(IntEnum):
     S7 = 7
 
 
-@dataclass(frozen=True, slots=True)
-class GridParams:
-    """All layout constants, derived from the requested vertex count.
-
-    ``l`` is the ceiling fourth root of ``n_input``; the grid provisions
-    ``capacity = l**4`` vertex slots arranged in ``l**2`` levels of ``l**2``
-    positions each. The two slope families used by crossing segments are
-    ``slope_num/slope_den`` (= 1/l^3) and its negative reciprocal; they are
-    exactly perpendicular by construction.
-    """
-
-    n_input: int
-    l: int
-    capacity: int
-    levels: int
-    per_level: int
-    slope_num: int
-    slope_den: int
-    level_gap: int
-    col_gap: int
-    level_shift: int
-
-    def __post_init__(self) -> None:
-        if self.n_input < 1:
-            raise ValueError("empty graph")
-        l = self.l
-        if l < 1 or (l - 1) ** 4 >= self.n_input or self.n_input > l**4:
-            raise ValueError("l must be the ceiling fourth root of n_input")
-        derived = (l**4, l * l, l * l, 1, l**3, 8 * l**3 + l + 1, l**4 + 1, l * l + 8)
-        actual = (
-            self.capacity,
-            self.levels,
-            self.per_level,
-            self.slope_num,
-            self.slope_den,
-            self.level_gap,
-            self.col_gap,
-            self.level_shift,
-        )
-        if actual != derived:
-            raise ValueError("grid constants inconsistent with l")
+def ceil_fourth_root(n: int) -> int:
+    """The grid parameter ``l`` of an ``n``-vertex drawing: the least l with
+    l**4 >= n, found by two integer square roots, never by float roots."""
+    if n < 1:
+        raise ValueError("empty graph")
+    l = isqrt(isqrt(n))
+    return l if l**4 >= n else l + 1
 
 
 def perpendicular(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
@@ -102,59 +65,94 @@ BEND_NAMES = ("a", "b", "c", "d", "e", "f")
 _CLASS_NAMES = {c.value: c.name for c in SegmentClass}
 
 
-@dataclass(frozen=True, slots=True)
-class EdgePolyline:
-    """One routed edge: vertex endpoints plus the six bend points between them.
-
-    The 8-point chain [source, a, b, c, d, e, f, target] yields seven
-    segments classed S1..S7 in order. ``k`` is the first-bend index that
-    encodes the target slot.
-    """
-
-    source: int
-    target: int
-    source_lp: LevelPos
-    target_lp: LevelPos
-    source_pt: Point
-    target_pt: Point
-    k: int
-    bends: tuple[Point, Point, Point, Point, Point, Point]
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return (self.source_pt, *self.bends, self.target_pt)
-
-    @property
-    def segments(self) -> tuple[tuple[SegmentClass, Point, Point], ...]:
-        pts = self.points
-        return tuple(
-            (SegmentClass(r + 1), pts[r], pts[r + 1]) for r in range(7)
-        )
+def int_column(values) -> np.ndarray:
+    """``values`` as an int64 array, or an object array of Python ints where
+    a value exceeds int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-@dataclass(frozen=True)
+def _frozen(values, tail: tuple[int, ...], name: str) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuO":
+        raise TypeError(f"{name} must hold integers, not {values.dtype}")
+    arr = int_column(values)
+    if arr.size == 0:
+        arr = arr.reshape((0, *tail))
+    if arr.ndim != len(tail) + 1 or arr.shape[1:] != tail:
+        raise ValueError(f"{name} must have shape (k, {', '.join(map(str, tail))})")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Drawing:
-    """A complete drawing: parameters, vertex placements, and routed edges.
+    """A drawing as three read-only integer arrays (int64, or object arrays
+    of Python ints where a value exceeds int64).
 
-    Edges are stored in input order; everything is deterministic given the
-    input graph.
+    * ``vertices`` (n x 2): the point of vertex v in row v;
+    * ``endpoints`` (m x 2): the (source, target) vertex ids of each edge,
+      in input order;
+    * ``bends`` (m x 6 x 2): bends a..f of each edge.
+
+    Each edge's 8-point polyline [source, a, ..., f, target] is read from
+    these by ``polylines``, so an edge endpoint is always its vertex's point.
     """
 
-    params: GridParams
-    placements: dict[int, tuple[LevelPos, Point]]
-    edges: tuple[EdgePolyline, ...]
+    vertices: np.ndarray
+    endpoints: np.ndarray
+    bends: np.ndarray
+
+    def __post_init__(self) -> None:
+        vertices = _frozen(self.vertices, (2,), "vertices")
+        endpoints = _frozen(self.endpoints, (2,), "endpoints")
+        bends = _frozen(self.bends, (6, 2), "bends")
+        if len(endpoints) != len(bends):
+            raise ValueError("endpoints and bends must list the same edges")
+        if len(endpoints) and (
+            endpoints.dtype != np.int64
+            or endpoints.min() < 0
+            or endpoints.max() >= len(vertices)
+            or (endpoints[:, 0] == endpoints[:, 1]).any()
+        ):
+            raise ValueError("edge endpoints must be two distinct vertex ids")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "bends", bends)
 
     @property
     def n(self) -> int:
-        return len(self.placements)
+        return len(self.vertices)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.endpoints)
 
     @property
-    def vertex_points(self) -> dict[int, Point]:
-        return {v: pt for v, (_, pt) in self.placements.items()}
+    def l(self) -> int:
+        return ceil_fourth_root(self.n)
+
+    def polylines(self) -> np.ndarray:
+        """The m x 8 x 2 array of every edge's points, source to target."""
+        ends = self.vertices[self.endpoints]
+        return np.concatenate((ends[:, :1], self.bends, ends[:, 1:]), axis=1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Drawing):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.vertices, self.endpoints, self.bends),
+                (other.vertices, other.endpoints, other.bends),
+            )
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Drawing(n={self.n}, m={self.m})"
 
 
 class DefectKind(Enum):
@@ -201,19 +199,15 @@ class Crossing:
         return (self.edge_a, self.edge_b, self.class_a, self.class_b, self.point)
 
 
-def format_exact(value: int | Fraction) -> str:
-    """Canonical decimal/rational string for an exact coordinate."""
-    return str(value)
-
-
 def _format_ratio(num: int, den: int) -> str:
-    """``format_exact(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
+    """``str(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def format_point(x: int | Fraction, y: int | Fraction) -> str:
-    return f"{format_exact(x)},{format_exact(y)}"
+    """Canonical "x,y" string of an exact point (rationals as "p/q")."""
+    return f"{x},{y}"
 
 
 class CrossingReport:
@@ -224,10 +218,12 @@ class CrossingReport:
     identical bytes regardless of how the report was computed.
 
     Crossings are held as NumPy columns (complete drawings produce
-    millions): int64, or object arrays of Python ints where a value exceeds
-    int64, with denominators > 0. They arrive unsorted, each segment pair in
-    either orientation; the canonical form is computed once, on first
-    listing (``crossings``, ``to_json_*``), so counting never sorts.
+    millions) keyed by segment, not by edge and class: segment s is class
+    s % 7 + 1 of edge s // 7. Columns are int64, or object arrays of Python
+    ints where a value exceeds int64, with denominators > 0. They arrive
+    unsorted, each segment pair in either orientation; edges, classes and
+    the canonical order are derived only when listing (``crossings``,
+    ``to_json_*``), so counting never sorts.
     """
 
     __slots__ = (
@@ -237,7 +233,6 @@ class CrossingReport:
         "bbox",
         "pair_counts",
         "_cols",
-        "_sorted",
         "_materialized",
     )
 
@@ -249,33 +244,31 @@ class CrossingReport:
         bbox: tuple[int, int, int, int],
         crossing_columns: tuple[np.ndarray, ...],
     ):
-        # columns: edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp
+        # columns: segment_a, segment_b, x_num, y_num, den, perp; segment s
+        # is class s % 7 + 1 of edge s // 7
         self.n = n
         self.m = m
         self.violations = violations
         self.bbox = bbox
-        codes = crossing_columns[2] * 8
-        codes += crossing_columns[3]
+        codes = crossing_columns[0] % 7
+        codes *= 8
+        codes += crossing_columns[1] % 7
         grid = np.bincount(codes, minlength=64).reshape(8, 8)
         grid = np.triu(grid) + np.tril(grid, -1).T
         self.pair_counts = {
-            f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))
+            f"S{a + 1}xS{b + 1}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))
         }
         self._cols = crossing_columns
-        self._sorted = False
         self._materialized: tuple[Crossing, ...] | None = None
 
     def _listing(self) -> tuple[list, ...]:
-        """The crossing columns in canonical order, as Python lists."""
-        if not self._sorted:
-            ea, eb, ca, cb = self._cols[:4]
-            swap = (eb < ea) | ((eb == ea) & (cb < ca))
-            ea, eb = np.where(swap, eb, ea), np.where(swap, ea, eb)
-            ca, cb = np.where(swap, cb, ca), np.where(swap, ca, cb)
-            order = np.lexsort((cb, ca, eb, ea))
-            self._cols = tuple(c[order] for c in (ea, eb, ca, cb) + self._cols[4:])
-            self._sorted = True
-        return tuple(c.tolist() for c in self._cols)
+        """(edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp) in
+        canonical order, as Python lists."""
+        sa, sb = self._cols[:2]
+        sa, sb = np.minimum(sa, sb), np.maximum(sa, sb)
+        ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
+        order = np.lexsort((cb, ca, eb, ea))
+        return tuple(c[order].tolist() for c in (ea, eb, ca, cb) + self._cols[2:])
 
     @property
     def crossing_count(self) -> int:
@@ -303,7 +296,7 @@ class CrossingReport:
 
     def all_perpendicular(self) -> bool:
         """True iff every recorded crossing meets at an exact right angle."""
-        return bool(self._cols[7].all())
+        return bool(self._cols[5].all())
 
     def to_json_dict(self) -> dict:
         xmin, xmax, ymin, ymax = self.bbox

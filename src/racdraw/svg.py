@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .layout import vertex_slot
 from .model import CrossingReport, Drawing
 from .validator import bounding_box
 
@@ -67,6 +68,7 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
         },
     )
 
+    polylines = d.polylines().tolist()
     if options.color_classes:
         for cls_idx in range(7):
             group = ET.SubElement(
@@ -79,17 +81,16 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
                     "fill": "none",
                 },
             )
-            for poly in d.edges:
-                pts = poly.points
-                p, q = pts[cls_idx], pts[cls_idx + 1]
+            for pts in polylines:
+                (px, py), (qx, qy) = pts[cls_idx], pts[cls_idx + 1]
                 ET.SubElement(
                     group,
                     "line",
                     {
-                        "x1": _fmt(tx(p.x)),
-                        "y1": _fmt(ty(p.y)),
-                        "x2": _fmt(tx(q.x)),
-                        "y2": _fmt(ty(q.y)),
+                        "x1": _fmt(tx(px)),
+                        "y1": _fmt(ty(py)),
+                        "x2": _fmt(tx(qx)),
+                        "y2": _fmt(ty(qy)),
                     },
                 )
     else:
@@ -102,21 +103,19 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
                 "fill": "none",
             },
         )
-        for poly in d.edges:
-            points = " ".join(
-                f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in poly.points
-            )
+        for pts in polylines:
+            points = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
             ET.SubElement(group, "polyline", {"points": points})
 
     vgroup = ET.SubElement(root, "g", {"class": "vertices", "fill": "#000000"})
-    for v in sorted(d.placements):
-        lp, pt = d.placements[v]
+    l = d.l
+    for v, (x, y) in enumerate(d.vertices.tolist()):
         ET.SubElement(
             vgroup,
             "circle",
             {
-                "cx": _fmt(tx(pt.x)),
-                "cy": _fmt(ty(pt.y)),
+                "cx": _fmt(tx(x)),
+                "cy": _fmt(ty(y)),
                 "r": _fmt(max(1.5, scale * 0.8)),
             },
         )
@@ -125,13 +124,14 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
                 vgroup,
                 "text",
                 {
-                    "x": _fmt(tx(pt.x) + 3.0),
-                    "y": _fmt(ty(pt.y) + 12.0),
+                    "x": _fmt(tx(x) + 3.0),
+                    "y": _fmt(ty(y) + 12.0),
                     "font-size": "10",
                     "font-family": "sans-serif",
                 },
             )
-            label.text = f"v{v} ({lp.level},{lp.pos})"
+            level, pos = vertex_slot(l, v)
+            label.text = f"v{v} ({level},{pos})"
 
     if options.crossing_report is not None:
         cgroup = ET.SubElement(

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -53,6 +52,7 @@ from .model import (
     Point,
     SegmentClass,
     format_point,
+    int_column,
 )
 
 # Class pairs that are allowed to cross (always at a right angle).
@@ -154,9 +154,8 @@ def _classify(ax, ay, bx, by, cx, cy, dx, dy):
 def segment_pair(seg1, seg2) -> PairResult:
     """Classify the intersection of two segments with integer endpoints.
 
-    Accepts ``(Point, Point)`` pairs or the ``(SegmentClass, Point, Point)``
-    triples produced by ``EdgePolyline.segments``. Raises on zero-length
-    input.
+    Accepts ``(Point, Point)`` pairs or ``(SegmentClass, Point, Point)``
+    triples. Raises on zero-length input.
     """
     p1, q1 = seg1[-2], seg1[-1]
     p2, q2 = seg2[-2], seg2[-1]
@@ -207,18 +206,17 @@ class _Group:
 
 
 class _Table:
-    """Flattened view of a drawing's segments and vertices for the scans.
+    """A drawing's segments and vertices as columns for the scans.
 
-    Python lists feed the scalar big-int path; NumPy columns of ``dtype``
-    feed the vector path. ``spans[k]`` holds every segment's closed
-    (lo, hi) interval on projection k of (x, y, p, q), where p = x*l^3 + y
-    and q = x - y*l^3; ``groups`` holds the four slope families and
-    ``vertices`` the vertex points, each sorted for the sweep.
+    Segment i is class i % 7 + 1 (``classes``) of edge i // 7. Python lists
+    feed the scalar big-int path; NumPy columns of ``dtype`` feed the vector
+    path. ``spans[k]`` holds every segment's closed (lo, hi) interval on
+    projection k of (x, y, p, q), where p = x*l^3 + y and q = x - y*l^3;
+    ``groups`` holds the four slope families and ``vertices`` the vertex
+    points, each sorted for the sweep.
     """
 
     __slots__ = (
-        "edge",
-        "cls",
         "ax",
         "ay",
         "bx",
@@ -228,53 +226,39 @@ class _Table:
         "l3",
         "dtype",
         "coords",
-        "edges",
         "classes",
         "spans",
         "groups",
-        "vid",
         "vx",
         "vy",
         "vertices",
     )
 
     def __init__(self, d: Drawing):
-        edge, cls = [], []
-        ax, ay, bx, by = [], [], [], []
-        for e_idx, poly in enumerate(d.edges):
-            pts = poly.points
-            for r in range(7):
-                p, q = pts[r], pts[r + 1]
-                edge.append(e_idx)
-                cls.append(r + 1)
-                ax.append(p.x)
-                ay.append(p.y)
-                bx.append(q.x)
-                by.append(q.y)
-        self.edge, self.cls = edge, cls
-        self.ax, self.ay, self.bx, self.by = ax, ay, bx, by
-        self.zero = [i for i in range(len(edge)) if ax[i] == bx[i] and ay[i] == by[i]]
-        zero = set(self.zero)
-        self.active = [i for i in range(len(edge)) if i not in zero]
-        self.vid = sorted(d.placements)
-        self.vx = [d.placements[v][1].x for v in self.vid]
-        self.vy = [d.placements[v][1].y for v in self.vid]
-        big = max(map(abs, chain(ax, ay, bx, by, self.vx, self.vy)), default=0)
-        l3 = self.l3 = d.params.slope_den
-        self.dtype = (
+        lines = d.polylines()
+        big = max(
+            (max(int(a.max()), -int(a.min())) for a in (lines, d.vertices) if a.size),
+            default=0,
+        )
+        l3 = self.l3 = d.l**3
+        dtype = self.dtype = (
             np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
         )
-        AX, AY, BX, BY = self.coords = tuple(
-            np.array(c, dtype=self.dtype) for c in (ax, ay, bx, by)
-        )
-        self.edges = np.array(edge, dtype=np.int64)
-        self.classes = np.array(cls, dtype=np.int64)
+        lines = lines.astype(dtype)
+        AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
+        BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
+        self.coords = (AX, AY, BX, BY)
+        self.ax, self.ay, self.bx, self.by = (c.tolist() for c in self.coords)
+        zero = (AX == BX) & (AY == BY)
+        self.zero = np.nonzero(zero)[0].tolist()
+        self.active = np.nonzero(~zero)[0].tolist()
+        self.classes = np.arange(len(AX)) % 7 + 1
         ux, uy = BX - AX, BY - AY
-        fam = np.full(len(edge), _VAR, dtype=np.int64)
+        fam = np.full(len(AX), _VAR, dtype=np.int64)
         fam[ux == 0] = _VERT
         fam[ux == uy * l3] = _POS
         fam[uy == -ux * l3] = _NEG
-        fam[(ux == 0) & (uy == 0)] = _ZERO
+        fam[zero] = _ZERO
         self.spans = (
             _spans(AX, BX),
             _spans(AY, BY),
@@ -282,12 +266,13 @@ class _Table:
             _spans(AX - AY * l3, BX - BY * l3),
         )
         self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
-        VX, VY = (np.array(c, dtype=self.dtype) for c in (self.vx, self.vy))
+        VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(dtype) for c in (0, 1))
+        self.vx, self.vy = VX.tolist(), VY.tolist()
         points = (VX, VY, VX * l3 + VY, VX - VY * l3)
-        self.vertices = _Group(np.arange(len(self.vid)), [(c, c) for c in points])
+        self.vertices = _Group(np.arange(len(VX)), [(c, c) for c in points])
 
     def label(self, i: int) -> str:
-        return f"segment:{self.edge[i]}:S{self.cls[i]}"
+        return f"segment:{i // 7}:S{i % 7 + 1}"
 
 
 def _pair_labels(t: _Table, i: int, j: int) -> tuple[str, ...]:
@@ -307,14 +292,11 @@ def _scan_zero_length(t: _Table, defects: list[Defect]) -> None:
 
 def _scan_coincident_points(d: Drawing, defects: list[Defect]) -> None:
     tagged: dict[tuple[int, int], list[str]] = {}
-    for v in sorted(d.placements):
-        pt = d.placements[v][1]
-        tagged.setdefault((pt.x, pt.y), []).append(f"vertex:{v}")
-    for e_idx, poly in enumerate(d.edges):
-        for b_idx, bend in enumerate(poly.bends):
-            tagged.setdefault((bend.x, bend.y), []).append(
-                f"bend:{e_idx}:{BEND_NAMES[b_idx]}"
-            )
+    for v, (x, y) in enumerate(d.vertices.tolist()):
+        tagged.setdefault((x, y), []).append(f"vertex:{v}")
+    for e_idx, bends in enumerate(d.bends.tolist()):
+        for name, (x, y) in zip(BEND_NAMES, bends):
+            tagged.setdefault((x, y), []).append(f"bend:{e_idx}:{name}")
     for (x, y), tags in tagged.items():
         if len(tags) >= 2:
             defects.append(
@@ -346,7 +328,7 @@ def _scan_vertex_piercings(t: _Table, defects: list[Defect]) -> None:
                 defects.append(
                     Defect(
                         DefectKind.SEGMENT_THROUGH_VERTEX,
-                        (t.label(s), f"vertex:{t.vid[v]}"),
+                        (t.label(s), f"vertex:{v}"),
                         (format_point(t.vx[v], t.vy[v]),),
                     )
                 )
@@ -356,13 +338,13 @@ def _scan_vertex_piercings(t: _Table, defects: list[Defect]) -> None:
 # Pair processing (shared by both modes)
 # ---------------------------------------------------------------------------
 
-# A crossing row is (edge_a, edge_b, class_a, class_b, xn, yn, den, perp),
-# den > 0; the report puts each pair in canonical orientation.
+# A crossing row is (segment_a, segment_b, xn, yn, den, perp), den > 0; the
+# report derives edges and classes and puts each pair in canonical order.
 
 
 def _record_crossing(t, i, j, xn, yn, den, perp, rows, defects) -> None:
-    ca, cb = t.cls[i], t.cls[j]
-    rows.append((t.edge[i], t.edge[j], ca, cb, xn, yn, den, perp))
+    rows.append((i, j, xn, yn, den, perp))
+    ca, cb = i % 7 + 1, j % 7 + 1
     allowed = (min(ca, cb), max(ca, cb)) in ALLOWED_CLASS_PAIRS
     if perp and allowed:
         return
@@ -534,8 +516,8 @@ def filtered_pair_stream(d: Drawing) -> Iterator[CandidatePair]:
         for i, j in zip(ia.tolist(), jb.tolist()):
             yield CandidatePair(
                 kind,
-                (t.edge[i], SegmentClass(t.cls[i])),
-                (t.edge[j], SegmentClass(t.cls[j])),
+                (i // 7, SegmentClass(i % 7 + 1)),
+                (j // 7, SegmentClass(j % 7 + 1)),
             )
 
 
@@ -567,19 +549,10 @@ def _confirm_rotated(t: _Table, i, j, rows, col_chunks, defects) -> None:
         return
     i, j, p, q = i[keep], j[keep], p[keep], q[keep]
     l3 = t.l3
-    for chunks, col in zip(
-        col_chunks,
-        (
-            t.edges[i],
-            t.edges[j],
-            t.classes[i],
-            t.classes[j],
-            p * l3 + q,
-            p - q * l3,
-            np.full(len(keep), l3 * l3 + 1, dtype=t.dtype),
-            np.ones(len(keep), dtype=bool),
-        ),
-    ):
+    # The denominator and the right angle are the same for every such pair.
+    den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=t.dtype), len(keep))
+    perp = np.broadcast_to(True, len(keep))
+    for chunks, col in zip(col_chunks, (i, j, p * l3 + q, p - q * l3, den, perp)):
         chunks.append(col)
 
 
@@ -625,13 +598,6 @@ def _run_brute(t: _Table, rows: list, defects: list) -> None:
             finish(t, i, act[b_pos], rows, defects)
 
 
-def _int_column(values) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _assemble_columns(rows: list, col_chunks: list) -> tuple:
     """Unsorted crossing columns from vector chunks and scalar rows.
 
@@ -639,16 +605,16 @@ def _assemble_columns(rows: list, col_chunks: list) -> tuple:
     """
     if rows:
         by_col = list(zip(*rows))
-        for k in range(7):
-            col_chunks[k].append(_int_column(by_col[k]))
-        col_chunks[7].append(np.array(by_col[7], dtype=bool))
+        for k in range(5):
+            col_chunks[k].append(int_column(by_col[k]))
+        col_chunks[5].append(np.array(by_col[5], dtype=bool))
     cols = []
     for k, chunks in enumerate(col_chunks):
         if chunks:
             cols.append(np.concatenate(chunks))
             chunks.clear()
         else:
-            cols.append(np.zeros(0, dtype=bool if k == 7 else np.int64))
+            cols.append(np.zeros(0, dtype=bool if k == 5 else np.int64))
     return tuple(cols)
 
 
@@ -659,17 +625,12 @@ def _assemble_columns(rows: list, col_chunks: list) -> tuple:
 
 def bounding_box(d: Drawing) -> tuple[int, int, int, int]:
     """Exact (xmin, xmax, ymin, ymax) over all vertex and bend points."""
-    if not d.placements:
+    if not d.n:
         raise ValueError("empty drawing")
-    xs, ys = [], []
-    for _, pt in d.placements.values():
-        xs.append(pt.x)
-        ys.append(pt.y)
-    for poly in d.edges:
-        for bend in poly.bends:
-            xs.append(bend.x)
-            ys.append(bend.y)
-    return (min(xs), max(xs), min(ys), max(ys))
+    points = [d.vertices, d.bends.reshape(-1, 2)] if d.m else [d.vertices]
+    lo = [min(int(p[:, c].min()) for p in points) for c in (0, 1)]
+    hi = [max(int(p[:, c].max()) for p in points) for c in (0, 1)]
+    return (lo[0], hi[0], lo[1], hi[1])
 
 
 def validate(
@@ -683,7 +644,7 @@ def validate(
     """
     t = _Table(d)
     rows: list = []
-    col_chunks: list = [[] for _ in range(8)]
+    col_chunks: list = [[] for _ in range(6)]
     defects: list[Defect] = []
     _scan_zero_length(t, defects)
     _scan_coincident_points(d, defects)
@@ -758,11 +719,10 @@ def stats(
         report = validate(d, mode)
     xmin, xmax, ymin, ymax = report.bbox
     width, height = xmax - xmin, ymax - ymin
-    bends = max((len(poly.bends) for poly in d.edges), default=0)
     return StatsReport(
         n=d.n,
         m=d.m,
-        bends_per_edge=bends,
+        bends_per_edge=d.bends.shape[1] if d.m else 0,
         width=width,
         height=height,
         area=width * height,

@@ -28,6 +28,7 @@ from racdraw import (
     serialize_edge_list,
     stats,
     validate,
+    vertex_slot,
 )
 from racdraw.cli import bench_rows
 from racdraw.io import document_to_drawing, drawing_to_document
@@ -63,13 +64,13 @@ def _scan_extent(drawing):
     # Independent point-scan oracle: direct min/max over every polyline
     # point and vertex, bypassing bounding_box.
     xs, ys = [], []
-    for _, pt in drawing.placements.values():
-        xs.append(pt.x)
-        ys.append(pt.y)
-    for poly in drawing.edges:
-        for pt in poly.points:
-            xs.append(pt.x)
-            ys.append(pt.y)
+    for x, y in drawing.vertices.tolist():
+        xs.append(x)
+        ys.append(y)
+    for pts in drawing.polylines().tolist():
+        for x, y in pts:
+            xs.append(x)
+            ys.append(y)
     return max(xs) - min(xs), max(ys) - min(ys)
 
 
@@ -114,11 +115,11 @@ def test_criterion_3_curve_complexity(k16, k81):
         drawings = {2: None, 5: None, 16: k16, 17: None, 81: k81, 100: None}
         for n, cached in drawings.items():
             d = cached if cached is not None else draw_complete(n)
-            for poly in d.edges:
-                assert len(poly.bends) == 6
-                segs = poly.segments
+            assert d.bends.shape == (d.m, 6, 2)
+            for pts in d.polylines().tolist():
+                segs = list(zip(pts, pts[1:]))
                 assert len(segs) == 7
-                for _, p, q in segs:
+                for p, q in segs:
                     assert p != q
 
 
@@ -235,14 +236,14 @@ def test_criterion_9_round_trips_and_figure(k16, k81, k16_filtered, tmp_path):
         # Figure structure for n=16: levels descend top to bottom, each
         # shifted right; first bends fan one unit above their source.
         levels = {}
-        for lp, pt in k16.placements.values():
-            levels.setdefault(lp.level, pt)
+        for v, (x, y) in enumerate(k16.vertices.tolist()):
+            levels.setdefault(vertex_slot(k16.l, v)[0], (x, y))
         for lvl in (1, 2, 3):
-            assert levels[lvl].y > levels[lvl + 1].y
-            assert levels[lvl].x < levels[lvl + 1].x
-        for poly in k16.edges:
-            assert poly.bends[0].y == poly.source_pt.y + 1
-            assert poly.bends[1].y > poly.bends[0].y
+            assert levels[lvl][1] > levels[lvl + 1][1]
+            assert levels[lvl][0] < levels[lvl + 1][0]
+        for source, a, b, *_ in k16.polylines().tolist():
+            assert a[1] == source[1] + 1
+            assert b[1] > a[1]
         report, _ = k16_filtered
         out = tmp_path / "k16.svg"
         out.write_text(

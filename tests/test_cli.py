@@ -83,6 +83,14 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 2
 
+    def test_overlong_integer_is_usage_error(self, k16_file, tmp_path, capsys):
+        doc = json.loads(k16_file.read_text())
+        doc["vertices"][0]["x"] = "1" * 5000
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert "vertex.x" in capsys.readouterr().err
+
 
 class TestStats:
     def test_text(self, k16_file, capsys):

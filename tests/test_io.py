@@ -1,16 +1,22 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from conftest import random_graph
 from racdraw import (
+    DerivedFieldError,
     DocumentError,
+    Drawing,
     DuplicateEdgeError,
     GraphInput,
+    IntegerTooLongError,
     MalformedLineError,
     MissingHeaderError,
     NonIntegerCoordinateError,
-    Point,
     SelfLoopError,
+    ValidationMode,
     VertexRangeError,
     draw_complete,
     draw_graph,
@@ -19,9 +25,18 @@ from racdraw import (
     parse_edge_list,
     read_drawing,
     serialize_edge_list,
+    validate,
     write_drawing,
 )
 from racdraw.io import document_to_drawing, drawing_to_document
+
+# SHA-256 of dumps_drawing(draw_complete(n)), as recorded in the benchmark's
+# COMPLETE_FIGURES (racbench/workloads.py).
+COMPLETE_DIGESTS = {
+    16: "b1846632fa0f63432a4057a245a109ab6e407a8b9c8a3209cbf67f36d08a7260",
+    81: "62fefcceac22e251487be88eec090c6658f1c266147cefbb89ecc597dd14e03c",
+    256: "dc46fc26ed530d104cf208c6d8e527a44bdd04b9ab4a23e4b07f24d5ad8e19bf",
+}
 
 
 class TestParseEdgeList:
@@ -150,17 +165,89 @@ class TestDrawingDocument:
         doc = drawing_to_document(k16)
         doc["edges"][0]["bends"][0][0] = "999999"
         drawing = document_to_drawing(doc)
-        assert drawing.edges[0].bends[0].x == 999999
+        assert drawing.bends[0, 0, 0] == 999999
 
     def test_huge_coordinates_survive_round_trip(self):
         d = draw_graph(GraphInput(2, ((0, 1),)))
-        placements = dict(d.placements)
-        lp, _ = placements[1]
-        placements[1] = (lp, Point(2**70, -(2**70)))
-        from racdraw import Drawing
-
-        moved = Drawing(d.params, placements, ())
+        vertices = d.vertices.tolist()
+        vertices[1] = [2**70, -(2**70)]
+        moved = Drawing(vertices, [], [])
         text = dumps_drawing(moved)
         back = loads_drawing(text)
-        assert back.placements[1][1] == Point(2**70, -(2**70))
+        assert back.vertices[1].tolist() == [2**70, -(2**70)]
+        assert back == moved and back.vertices.dtype == object
         assert json.loads(text)["vertices"][1]["x"] == str(2**70)
+
+    @pytest.mark.parametrize("n", sorted(COMPLETE_DIGESTS))
+    def test_complete_drawing_digests_are_pinned(self, n):
+        text = dumps_drawing(draw_complete(n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == COMPLETE_DIGESTS[n]
+
+    def test_text_round_trip_on_random_graphs(self):
+        rng = random.Random(0xC6)
+        for _ in range(20):
+            text = dumps_drawing(draw_graph(random_graph(rng, max_n=81, max_m=100)))
+            assert dumps_drawing(loads_drawing(text)) == text
+
+    @pytest.mark.parametrize("field,value", [("level", "2"), ("pos", "3")])
+    def test_wrong_vertex_slot_rejected(self, k16, field, value):
+        doc = drawing_to_document(k16)
+        doc["vertices"][0][field] = value
+        with pytest.raises(DerivedFieldError, match=f"vertex.{field}") as err:
+            document_to_drawing(doc)
+        assert (err.value.value, err.value.expected) == (value, 1)
+
+    def test_wrong_edge_k_rejected(self, k16):
+        doc = drawing_to_document(k16)
+        doc["edges"][0]["k"] = "4"
+        with pytest.raises(DerivedFieldError, match="edge.k"):
+            document_to_drawing(doc)
+
+    def test_params_of_another_n_rejected(self, k16):
+        # A self-consistent params block for n = 17 (l = 3) in a document
+        # whose n is 16.
+        doc = drawing_to_document(k16)
+        doc["params"] = drawing_to_document(draw_complete(17))["params"]
+        with pytest.raises(DerivedFieldError, match="params"):
+            document_to_drawing(doc)
+        doc = drawing_to_document(k16)
+        doc["params"]["extra"] = "1"
+        with pytest.raises(DocumentError, match="params"):
+            document_to_drawing(doc)
+        doc = drawing_to_document(k16)
+        doc["l"] = "3"
+        with pytest.raises(DerivedFieldError, match="l"):
+            document_to_drawing(doc)
+
+    def test_vertices_out_of_id_order_rejected(self, k16):
+        doc = drawing_to_document(k16)
+        doc["vertices"][0], doc["vertices"][1] = doc["vertices"][1], doc["vertices"][0]
+        with pytest.raises(DocumentError, match="listed by id"):
+            document_to_drawing(doc)
+
+    @pytest.mark.parametrize("context", ["vertex.x", "bend.y", "n"])
+    def test_integer_beyond_conversion_limit_rejected(self, context):
+        doc = drawing_to_document(draw_complete(2))
+        long = "1" * 5000
+        if context == "vertex.x":
+            doc["vertices"][0]["x"] = long
+        elif context == "bend.y":
+            doc["edges"][0]["bends"][3][1] = long
+        else:
+            doc["n"] = long
+        with pytest.raises(IntegerTooLongError) as err:
+            document_to_drawing(doc)
+        assert (err.value.context, err.value.digits) == (context, 5000)
+
+    def test_certified_drawing_is_the_written_one(self):
+        # Vertex 1 moved onto the interior of edge (0, 4)'s vertical S6: its
+        # own edge (1, 3) starts at the moved point, in memory and on disk.
+        d = draw_graph(GraphInput(5, ((0, 4), (1, 3))))
+        vertices = d.vertices.tolist()
+        vertices[1] = [20, -80]
+        moved = Drawing(vertices, d.endpoints, d.bends)
+        assert moved.polylines()[1, 0].tolist() == [20, -80]
+        in_memory = validate(moved, ValidationMode.FILTERED)
+        written = validate(loads_drawing(dumps_drawing(moved)), ValidationMode.FILTERED)
+        assert in_memory.violations
+        assert in_memory.to_json_bytes() == written.to_json_bytes()

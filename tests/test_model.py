@@ -1,16 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from racdraw import (
-    GridParams,
-    LevelPos,
+    Drawing,
+    GraphInput,
     Point,
     SegmentClass,
+    draw_complete,
+    draw_graph,
     params_from_n,
     perpendicular,
-    route_edge,
+    vertex_slot,
 )
+from racdraw.io import document_to_drawing, drawing_to_document
 
 
 class TestPerpendicular:
@@ -50,40 +54,38 @@ def test_perpendicular_matches_slope_oracle_exhaustively():
 
 
 class TestGridParams:
+    # A document's params block must be the constants derived from its n.
+
     def test_rejects_inconsistent_constants(self):
         good = params_from_n(16)
+        doc = drawing_to_document(draw_complete(16))
+        doc["params"]["level_gap"] = str(good["level_gap"] + 1)
         with pytest.raises(ValueError):
-            GridParams(
-                n_input=16,
-                l=2,
-                capacity=16,
-                levels=4,
-                per_level=4,
-                slope_num=1,
-                slope_den=8,
-                level_gap=good.level_gap + 1,
-                col_gap=good.col_gap,
-                level_shift=good.level_shift,
-            )
+            document_to_drawing(doc)
 
     def test_rejects_wrong_l(self):
+        doc = drawing_to_document(draw_complete(16))
+        doc["params"] = {
+            "n_input": "16",
+            "l": "3",
+            "capacity": "81",
+            "levels": "9",
+            "per_level": "9",
+            "slope_num": "1",
+            "slope_den": "27",
+            "level_gap": "220",
+            "col_gap": "82",
+            "level_shift": "17",
+        }
         with pytest.raises(ValueError):
-            GridParams(
-                n_input=16,
-                l=3,
-                capacity=81,
-                levels=9,
-                per_level=9,
-                slope_num=1,
-                slope_den=27,
-                level_gap=220,
-                col_gap=82,
-                level_shift=17,
-            )
+            document_to_drawing(doc)
 
     def test_rejects_empty(self):
+        doc = drawing_to_document(draw_complete(1))
+        doc["n"] = "0"
+        doc["vertices"] = []
         with pytest.raises(ValueError, match="empty graph"):
-            GridParams(0, 1, 1, 1, 1, 1, 1, 10, 2, 9)
+            document_to_drawing(doc)
 
 
 def test_segment_classes_are_one_through_seven():
@@ -92,23 +94,59 @@ def test_segment_classes_are_one_through_seven():
 
 
 def test_polyline_points_and_segments_shape():
-    params = params_from_n(16)
-    src = (LevelPos(1, 1), Point(0, 0))
-    dst = (LevelPos(2, 1), Point(12, -67))
-    poly = route_edge(params, src, dst)
-    assert len(poly.points) == 8
-    assert len(poly.segments) == 7
-    assert poly.points[0] == poly.source_pt
-    assert poly.points[-1] == poly.target_pt
-    classes = [seg[0] for seg in poly.segments]
-    assert classes == list(SegmentClass)
-    for cls, p, q in poly.segments:
+    d = draw_graph(GraphInput(5, ((0, 4),)))
+    pts = d.polylines()[0].tolist()
+    assert len(pts) == 8
+    segments = list(zip(pts, pts[1:]))
+    assert len(segments) == 7
+    assert pts[0] == d.vertices[0].tolist()
+    assert pts[-1] == d.vertices[4].tolist()
+    for p, q in segments:
         assert p != q
 
 
 def test_point_ordering_is_lexicographic():
     assert Point(1, 5) < Point(2, -10)
-    assert LevelPos(1, 9) < LevelPos(2, 1)
+    # Slots follow vertex ids: (1, 9) is vertex 8 and (2, 1) vertex 9 at l = 3.
+    assert vertex_slot(3, 8) == (1, 9) and vertex_slot(3, 9) == (2, 1)
+    assert vertex_slot(3, 8) < vertex_slot(3, 9)
+
+
+class TestDrawingArrays:
+    def test_arrays_are_read_only(self):
+        d = draw_complete(5)
+        for arr in (d.vertices, d.endpoints, d.bends):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+
+    def test_input_arrays_are_copied(self):
+        vertices = np.array([[0, 0], [17, 0]])
+        d = Drawing(vertices, [[0, 1]], np.zeros((1, 6, 2), dtype=np.int64))
+        vertices[1, 0] = 5
+        assert d.vertices[1].tolist() == [17, 0]
+
+    def test_big_values_become_python_ints(self):
+        d = Drawing([[0, 0], [2**70, -(2**70)]], [], [])
+        assert d.vertices.dtype == object
+        assert d.vertices[1].tolist() == [2**70, -(2**70)]
+        assert d == Drawing(d.vertices.tolist(), d.endpoints, d.bends)
+
+    @pytest.mark.parametrize(
+        "endpoints,bends,message",
+        [
+            ([[0, 2]], np.zeros((1, 6, 2), dtype=int), "vertex ids"),
+            ([[1, 1]], np.zeros((1, 6, 2), dtype=int), "vertex ids"),
+            ([[0, 1]], np.zeros((2, 6, 2), dtype=int), "same edges"),
+            ([[0, 1]], np.zeros((1, 5, 2), dtype=int), "shape"),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, endpoints, bends, message):
+        with pytest.raises(ValueError, match=message):
+            Drawing([[0, 0], [17, 0]], endpoints, bends)
+
+    def test_rejects_float_coordinates(self):
+        with pytest.raises(TypeError):
+            Drawing(np.array([[0.5, 0.0]]), [], [])
 
 
 def test_intermediates_fit_well_under_128_bits_up_to_l16():

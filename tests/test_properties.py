@@ -17,11 +17,10 @@ from racdraw import (
     params_from_n,
     parse_edge_list,
     perpendicular,
-    place_vertices,
-    route_edge,
     segment_pair,
     serialize_edge_list,
     validate,
+    vertex_slot,
 )
 
 
@@ -119,13 +118,14 @@ def test_perpendicular_is_exactly_zero_dot(u, v):
 @settings(max_examples=120, deadline=None)
 def test_params_bracket_n_and_placements_are_integral(n):
     p = params_from_n(n)
-    assert (p.l - 1) ** 4 < n <= p.l**4
-    placed = place_vertices(p, n)
-    assert len(placed) == n
-    for lp, pt in placed.values():
-        assert 1 <= lp.level <= p.levels
-        assert 1 <= lp.pos <= p.per_level
-        assert isinstance(pt.x, int) and isinstance(pt.y, int)
+    assert (p["l"] - 1) ** 4 < n <= p["l"] ** 4
+    d = draw_graph(GraphInput(n))
+    assert len(d.vertices) == n
+    for v, (x, y) in enumerate(d.vertices.tolist()):
+        level, pos = vertex_slot(p["l"], v)
+        assert 1 <= level <= p["levels"]
+        assert 1 <= pos <= p["per_level"]
+        assert isinstance(x, int) and isinstance(y, int)
 
 
 @given(
@@ -136,22 +136,21 @@ def test_params_bracket_n_and_placements_are_integral(n):
 def test_routed_edges_integral_with_exact_slopes(n, seed):
     rng = random.Random(seed)
     p = params_from_n(n)
-    placed = place_vertices(p, n)
     v, w = sorted(rng.sample(range(n), 2))
-    poly = route_edge(p, placed[v], placed[w])
-    l3 = p.slope_den
-    pts = poly.points
-    for pt in pts:
-        assert isinstance(pt.x, int) and isinstance(pt.y, int)
-    rising = (pts[2].x - pts[1].x, pts[2].y - pts[1].y)
+    d = draw_graph(GraphInput(n, ((v, w),)))
+    l3 = p["slope_den"]
+    pts = d.polylines()[0].tolist()
+    for x, y in pts:
+        assert isinstance(x, int) and isinstance(y, int)
+    rising = (pts[2][0] - pts[1][0], pts[2][1] - pts[1][1])
     assert rising[0] == rising[1] * l3 and rising[1] > 0
-    falling = (pts[3].x - pts[2].x, pts[3].y - pts[2].y)
+    falling = (pts[3][0] - pts[2][0], pts[3][1] - pts[2][1])
     assert falling[1] == -falling[0] * l3 and falling[0] > 0
-    assert pts[6].x == pts[5].x  # vertical sixth segment
-    s = p.per_level
-    i, j = poly.source_lp.level, poly.source_lp.pos
-    tw = poly.target_lp.pos
-    assert pts[6].x - poly.target_pt.x == i * s + j - 2 * tw + 5
+    assert pts[6][0] == pts[5][0]  # vertical sixth segment
+    s = p["per_level"]
+    i, j = vertex_slot(p["l"], v)
+    _, tw = vertex_slot(p["l"], w)
+    assert pts[6][0] - pts[7][0] == i * s + j - 2 * tw + 5
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -58,8 +58,8 @@ def test_well_formed_for_assorted_sizes():
 
 
 def test_rendering_does_not_change_the_drawing(k16):
-    before = id(k16.edges)
+    before = id(k16.bends)
     text1 = render_svg(k16, SvgOptions(color_classes=True))
     text2 = render_svg(k16, SvgOptions(color_classes=True))
     assert text1 == text2
-    assert id(k16.edges) == before
+    assert id(k16.bends) == before

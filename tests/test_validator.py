@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +19,6 @@ from racdraw import (
     draw_complete,
     draw_graph,
     filtered_pair_stream,
-    params_from_n,
     segment_pair,
     stats,
     validate,
@@ -71,8 +69,9 @@ class TestSegmentPair:
             segment_pair(seg(1, 1, 1, 1), seg(0, 0, 1, 0))
 
     def test_accepts_classed_triples(self, k16):
-        poly = k16.edges[0]
-        res = segment_pair(poly.segments[0], poly.segments[2])
+        pts = [Point(x, y) for x, y in k16.polylines()[0].tolist()]
+        segments = [(SegmentClass(r + 1), pts[r], pts[r + 1]) for r in range(7)]
+        res = segment_pair(segments[0], segments[2])
         assert res.kind is PairKind.DISJOINT
 
     def test_k16_second_vs_third_segments_disjoint(self):
@@ -115,14 +114,20 @@ class TestSegmentPairAgainstFractionOracle:
             assert res.point == payload
 
 
+def _bend(drawing, edge_idx, bend_idx):
+    return Point(*drawing.bends[edge_idx, bend_idx].tolist())
+
+
 def _replace_bend(drawing, edge_idx, bend_idx, new_point):
-    poly = drawing.edges[edge_idx]
-    bends = list(poly.bends)
-    bends[bend_idx] = new_point
-    new_poly = replace(poly, bends=tuple(bends))
-    edges = list(drawing.edges)
-    edges[edge_idx] = new_poly
-    return Drawing(drawing.params, drawing.placements, tuple(edges))
+    bends = drawing.bends.astype(object)
+    bends[edge_idx, bend_idx] = (new_point.x, new_point.y)
+    return Drawing(drawing.vertices, drawing.endpoints, bends)
+
+
+def _move_vertex(drawing, v, new_point):
+    vertices = drawing.vertices.astype(object)
+    vertices[v] = (new_point.x, new_point.y)
+    return Drawing(vertices, drawing.endpoints, drawing.bends)
 
 
 class TestValidate:
@@ -173,16 +178,16 @@ class TestValidate:
     def test_corrupted_bend_flagged(self, k16):
         # Shift one bend of a crossing-heavy edge: its rising segment loses
         # the exact slope, so its crossings stop being perpendicular.
-        poly = k16.edges[3]
-        bad = _replace_bend(k16, 3, 1, Point(poly.bends[1].x + 1, poly.bends[1].y))
+        b = _bend(k16, 3, 1)
+        bad = _replace_bend(k16, 3, 1, Point(b.x + 1, b.y))
         report = validate(bad, FILTERED)
         assert report.violations
         kinds = {d.kind for d in report.violations}
         assert DefectKind.NON_PERPENDICULAR_CROSSING in kinds
 
     def test_corrupted_modes_agree(self, k16):
-        poly = k16.edges[3]
-        bad = _replace_bend(k16, 3, 1, Point(poly.bends[1].x + 1, poly.bends[1].y))
+        b = _bend(k16, 3, 1)
+        bad = _replace_bend(k16, 3, 1, Point(b.x + 1, b.y))
         rf = validate(bad, FILTERED)
         rb = validate(bad, BRUTE)
         assert rf.to_json_bytes() == rb.to_json_bytes()
@@ -191,8 +196,7 @@ class TestValidate:
 
 class TestDefectKinds:
     def test_zero_length_and_coincident(self, k16):
-        poly = k16.edges[0]
-        bad = _replace_bend(k16, 0, 3, poly.bends[4])  # d == e
+        bad = _replace_bend(k16, 0, 3, _bend(k16, 0, 4))  # d == e
         report = validate(bad, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.ZERO_LENGTH_SEGMENT in kinds
@@ -200,8 +204,7 @@ class TestDefectKinds:
         assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_duplicated_polyline_reports_overlaps(self, k16):
-        edges = (k16.edges[0], k16.edges[0])
-        two = Drawing(k16.params, k16.placements, edges)
+        two = Drawing(k16.vertices, k16.endpoints[[0, 0]], k16.bends[[0, 0]])
         report = validate(two, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.COLLINEAR_OVERLAP in kinds
@@ -240,11 +243,7 @@ class TestDefectKinds:
         # A drawing whose only edge runs over a third, isolated vertex:
         # the pair scans cannot see it, the vertex scan must.
         base = draw_graph(GraphInput(5, ((0, 4),)))
-        poly = base.edges[0]
-        placements = dict(base.placements)
-        lp, _ = placements[1]
-        placements[1] = (lp, Point(20, -80))  # interior of the S6 segment
-        moved = Drawing(base.params, placements, (poly,))
+        moved = _move_vertex(base, 1, Point(20, -80))  # interior of the S6 segment
         report = validate(moved, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.SEGMENT_THROUGH_VERTEX in kinds
@@ -264,7 +263,7 @@ class TestBoundingBox:
         assert bounding_box(draw_complete(1)) == (0, 0, 0, 0)
 
     def test_empty_rejected(self):
-        empty = Drawing(params_from_n(1), {}, ())
+        empty = Drawing([], [], [])
         with pytest.raises(ValueError, match="empty drawing"):
             bounding_box(empty)
 
@@ -325,20 +324,14 @@ def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
     sx = -1 if mirror or rotate else 1
     sy = -1 if rotate else 1
 
-    def move(pt):
-        return Point(sx * pt.x + dx, sy * pt.y + dy)
+    def move(points):
+        moved = points.astype(object)
+        moved[..., 0] = sx * moved[..., 0] + dx
+        moved[..., 1] = sy * moved[..., 1] + dy
+        return moved
 
-    placements = {v: (lp, move(pt)) for v, (lp, pt) in d.placements.items()}
-    edges = tuple(
-        replace(
-            poly,
-            source_pt=move(poly.source_pt),
-            target_pt=move(poly.target_pt),
-            bends=tuple(move(b) for b in poly.bends),
-        )
-        for poly in d.edges
-    )
-    return Drawing(d.params, placements, edges[::-1] if reverse else edges)
+    order = slice(None, None, -1 if reverse else 1)
+    return Drawing(move(d.vertices), d.endpoints[order], move(d.bends)[order])
 
 
 class TestMagnitudeRegimes:
@@ -397,13 +390,14 @@ class TestMagnitudeRegimes:
 def _reference_piercings(d):
     """Plain O(n * P) scan for vertices strictly inside a segment."""
     found = set()
-    for e_idx, poly in enumerate(d.edges):
-        for cls, p, q in poly.segments:
-            ux, uy = q.x - p.x, q.y - p.y
-            for v, (_, pt) in d.placements.items():
-                wx, wy = pt.x - p.x, pt.y - p.y
+    vertices = d.vertices.tolist()
+    for e_idx, pts in enumerate(d.polylines().tolist()):
+        for cls, ((px, py), (qx, qy)) in enumerate(zip(pts, pts[1:]), start=1):
+            ux, uy = qx - px, qy - py
+            for v, (x, y) in enumerate(vertices):
+                wx, wy = x - px, y - py
                 if ux * wy - uy * wx == 0 and 0 < ux * wx + uy * wy < ux * ux + uy * uy:
-                    found.add((f"segment:{e_idx}:S{cls.value}", f"vertex:{v}", f"{pt.x},{pt.y}"))
+                    found.add((f"segment:{e_idx}:S{cls}", f"vertex:{v}", f"{x},{y}"))
     return found
 
 
@@ -418,16 +412,16 @@ def _reported_piercings(report):
 def _pierce(d, rng):
     """Move some vertices onto lattice points on, beside and at the ends of
     random segments: inside, past either end, or on an endpoint."""
-    placements = dict(d.placements)
-    if not d.edges:
+    if not d.m:
         return d
-    for v in rng.sample(sorted(placements), min(len(placements), 6)):
-        _, p, q = rng.choice(rng.choice(d.edges).segments)
-        ux, uy = q.x - p.x, q.y - p.y
+    for v in rng.sample(range(d.n), min(d.n, 6)):
+        pts = rng.choice(d.polylines().tolist())
+        (px, py), (qx, qy) = rng.choice(list(zip(pts, pts[1:])))
+        ux, uy = qx - px, qy - py
         g = gcd(ux, uy)
         k = rng.choice([1, g - 1, g // 2, 0, g, -1, g + 1])
-        placements[v] = (placements[v][0], Point(p.x + k * ux // g, p.y + k * uy // g))
-    return Drawing(d.params, placements, d.edges)
+        d = _move_vertex(d, v, Point(px + k * ux // g, py + k * uy // g))
+    return d
 
 
 class TestVertexPiercingSweep:
@@ -442,10 +436,7 @@ class TestVertexPiercingSweep:
     def test_matches_reference_on_pierced_drawings(self, k16):
         through = _replace_bend(k16, 3, 4, Point(12, -95))
         through = _replace_bend(through, 3, 5, Point(12, -50))
-        base = draw_graph(GraphInput(5, ((0, 4),)))
-        placements = dict(base.placements)
-        placements[1] = (placements[1][0], Point(20, -80))
-        isolated = Drawing(base.params, placements, base.edges)
+        isolated = _move_vertex(draw_graph(GraphInput(5, ((0, 4),))), 1, Point(20, -80))
         for d in (k16, through, isolated):
             reported = _reported_piercings(validate(d, FILTERED))
             assert reported == _reference_piercings(d)
