@@ -45,13 +45,11 @@ from .io import (
 )
 from .svg import SvgOptions, render_svg
 from .validator import (
-    CandidatePair,
     PairKind,
     PairResult,
     StatsReport,
     ValidationMode,
     bounding_box,
-    filtered_pair_stream,
     segment_pair,
     stats,
     validate,
@@ -60,7 +58,6 @@ from .validator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidatePair",
     "Crossing",
     "CrossingReport",
     "Defect",
@@ -89,7 +86,6 @@ __all__ = [
     "draw_complete",
     "draw_graph",
     "dumps_drawing",
-    "filtered_pair_stream",
     "first_bend_index",
     "loads_drawing",
     "params_from_n",

@@ -31,6 +31,8 @@ SCHEMA = "rac-drawing/1"
 # The one canonical spelling of an integer: no leading zeros, no "-0", no
 # sign on positives, no surrounding whitespace. Used with ``fullmatch``.
 _INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+# The same for an edge list's vertex count and ids, which have no sign.
+_COUNT_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 class EdgeListError(ValueError):
@@ -61,6 +63,17 @@ class VertexRangeError(EdgeListError):
     pass
 
 
+def _count(field: str) -> int | None:
+    """``field`` as a vertex count or id: ASCII digits without a sign or a
+    leading zero, within the interpreter's integer conversion limit."""
+    if not _COUNT_RE.fullmatch(field):
+        return None
+    try:
+        return int(field)
+    except ValueError:
+        return None
+
+
 def parse_edge_list(text: str) -> GraphInput:
     """Parse the edge-list format into a validated GraphInput."""
     n: int | None = None
@@ -72,19 +85,18 @@ def parse_edge_list(text: str) -> GraphInput:
             continue
         fields = line.split()
         if n is None:
-            if len(fields) != 2 or fields[0] != "n" or not fields[1].isdigit():
+            n = _count(fields[1]) if len(fields) == 2 and fields[0] == "n" else None
+            if n is None:
                 raise MissingHeaderError("expected header 'n <count>'", lineno)
-            n = int(fields[1])
             if n < 1:
                 raise MissingHeaderError("vertex count must be >= 1", lineno)
             continue
         if len(fields) != 2:
             raise MalformedLineError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
+        u, v = _count(fields[0]), _count(fields[1])
+        if u is None or v is None:
             raise MalformedLineError(f"non-integer vertex id in {line!r}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
+        if u >= n or v >= n:
             raise VertexRangeError(f"vertex id out of range in {line!r}", lineno)
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}", lineno)

@@ -62,7 +62,6 @@ def perpendicular(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
 
 
 BEND_NAMES = ("a", "b", "c", "d", "e", "f")
-_CLASS_NAMES = {c.value: c.name for c in SegmentClass}
 
 
 def int_column(values) -> np.ndarray:
@@ -210,6 +209,19 @@ def format_point(x: int | Fraction, y: int | Fraction) -> str:
     return f"{x},{y}"
 
 
+# One crossing of a report, keys in sorted order: class_a, class_b, edge_a,
+# edge_b, perpendicular, x, y.
+_CROSSING_TEMPLATE = (
+    '{"class_a":"S%d","class_b":"S%d","edge_a":%d,"edge_b":%d,'
+    '"perpendicular":%s,"x":"%s","y":"%s"}'
+)
+_JSON_BOOL = ("false", "true")
+
+
+def _json_strings(values: tuple[str, ...]) -> str:
+    return ",".join(f'"{v}"' for v in values)
+
+
 class CrossingReport:
     """Certification result: crossings, violations, extent, per-class counts.
 
@@ -221,20 +233,13 @@ class CrossingReport:
     millions) keyed by segment, not by edge and class: segment s is class
     s % 7 + 1 of edge s // 7. Columns are int64, or object arrays of Python
     ints where a value exceeds int64, with denominators > 0. They arrive
-    unsorted, each segment pair in either orientation; edges, classes and
-    the canonical order are derived only when listing (``crossings``,
-    ``to_json_*``), so counting never sorts.
+    unsorted, each segment pair in either orientation. The listing (edges,
+    classes, canonical order) is derived and written on each call of
+    ``crossings`` or ``to_json_bytes``, and nothing of it is kept, so
+    counting never sorts.
     """
 
-    __slots__ = (
-        "n",
-        "m",
-        "violations",
-        "bbox",
-        "pair_counts",
-        "_cols",
-        "_materialized",
-    )
+    __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_cols")
 
     def __init__(
         self,
@@ -259,7 +264,6 @@ class CrossingReport:
             f"S{a + 1}xS{b + 1}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))
         }
         self._cols = crossing_columns
-        self._materialized: tuple[Crossing, ...] | None = None
 
     def _listing(self) -> tuple[list, ...]:
         """(edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp) in
@@ -280,65 +284,48 @@ class CrossingReport:
 
     @property
     def crossings(self) -> tuple[Crossing, ...]:
-        if self._materialized is None:
-            self._materialized = tuple(
-                Crossing(
-                    a,
-                    SegmentClass(c),
-                    b,
-                    SegmentClass(e),
-                    (Fraction(x, q), Fraction(y, q)),
-                    p,
-                )
-                for a, b, c, e, x, y, q, p in zip(*self._listing())
+        return tuple(
+            Crossing(
+                a,
+                SegmentClass(c),
+                b,
+                SegmentClass(e),
+                (Fraction(x, q), Fraction(y, q)),
+                p,
             )
-        return self._materialized
+            for a, b, c, e, x, y, q, p in zip(*self._listing())
+        )
 
     def all_perpendicular(self) -> bool:
         """True iff every recorded crossing meets at an exact right angle."""
         return bool(self._cols[5].all())
 
-    def to_json_dict(self) -> dict:
-        xmin, xmax, ymin, ymax = self.bbox
-        return {
-            "schema": "rac-report/1",
-            "n": self.n,
-            "m": self.m,
-            "crossing_count": self.crossing_count,
-            "pair_counts": {k: self.pair_counts[k] for k in sorted(self.pair_counts)},
-            "bbox": {
-                "xmin": str(xmin),
-                "xmax": str(xmax),
-                "ymin": str(ymin),
-                "ymax": str(ymax),
-            },
-            "crossings": [
-                {
-                    "edge_a": a,
-                    "class_a": _CLASS_NAMES[c],
-                    "edge_b": b,
-                    "class_b": _CLASS_NAMES[e],
-                    "x": _format_ratio(x, q),
-                    "y": _format_ratio(y, q),
-                    "perpendicular": p,
-                }
-                for a, b, c, e, x, y, q, p in zip(*self._listing())
-            ],
-            "violations": [
-                {
-                    "kind": d.kind.value,
-                    "participants": list(d.participants),
-                    "location": list(d.location),
-                }
-                for d in self.violations
-            ],
-        }
-
     def to_json_bytes(self) -> bytes:
-        import json
+        """The canonical ``rac-report/1`` bytes.
 
-        return json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":")
+        Written straight from the columns, as ``json.dumps`` with sorted
+        keys and separators ``(",", ":")`` would write the report: every
+        key is a fixed name and every value a generated integer, a fixed
+        name (class, defect kind, true/false) or a generated label
+        ("segment:3:S2", "-5/7,12"), so nothing needs escaping.
+        """
+        xmin, xmax, ymin, ymax = self.bbox
+        pairs = ",".join(f'"{k}":{self.pair_counts[k]}' for k in sorted(self.pair_counts))
+        crossings = ",".join(
+            _CROSSING_TEMPLATE
+            % (c, e, a, b, _JSON_BOOL[p], _format_ratio(x, q), _format_ratio(y, q))
+            for a, b, c, e, x, y, q, p in zip(*self._listing())
+        )
+        violations = ",".join(
+            '{"kind":"%s","location":[%s],"participants":[%s]}'
+            % (d.kind.value, _json_strings(d.location), _json_strings(d.participants))
+            for d in self.violations
+        )
+        return (
+            f'{{"bbox":{{"xmax":"{xmax}","xmin":"{xmin}","ymax":"{ymax}","ymin":"{ymin}"}},'
+            f'"crossing_count":{self.crossing_count},"crossings":[{crossings}],'
+            f'"m":{self.m},"n":{self.n},"pair_counts":{{{pairs}}},'
+            f'"schema":"rac-report/1","violations":[{violations}]}}'
         ).encode("ascii")
 
     def __eq__(self, other) -> bool:

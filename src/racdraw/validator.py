@@ -14,7 +14,7 @@ reports crossings and defects as data. Two enumeration modes exist:
 
 Both modes must produce byte-identical reports. All accumulation is
 order-independent: crossing columns are collected unsorted and the report
-puts them in canonical order on first listing, so any schedule yields the
+puts them in canonical order on each listing, so any schedule yields the
 same bytes. Validation never mutates the drawing.
 
 No floating-point operation participates in any predicate. The filtered
@@ -50,7 +50,6 @@ from .model import (
     DefectKind,
     Drawing,
     Point,
-    SegmentClass,
     format_point,
     int_column,
 )
@@ -492,33 +491,6 @@ def _family_pair_candidates(t: _Table) -> Iterator[tuple[int, int, np.ndarray, n
         b = None if fa == fb else t.groups[fb]
         for ia, ib in _span_pairs(a, b):
             yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
-
-
-@dataclass(frozen=True, slots=True)
-class CandidatePair:
-    """One pair emitted by the filter, tagged with why it must be checked."""
-
-    kind: str  # "crossing" or "collinear"
-    a: tuple[int, SegmentClass]
-    b: tuple[int, SegmentClass]
-
-
-def filtered_pair_stream(d: Drawing) -> Iterator[CandidatePair]:
-    """Stream the candidate segment pairs the filtered mode examines.
-
-    Yields a superset of every pair that can properly cross or overlap:
-    the sorted-span sweep's output. Pairs within one exact slope family
-    are "collinear" candidates, all others "crossing" candidates.
-    """
-    t = _Table(d)
-    for fa, fb, ia, jb in _family_pair_candidates(t):
-        kind = "collinear" if fa == fb != _VAR else "crossing"
-        for i, j in zip(ia.tolist(), jb.tolist()):
-            yield CandidatePair(
-                kind,
-                (i // 7, SegmentClass(i % 7 + 1)),
-                (j // 7, SegmentClass(j % 7 + 1)),
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,32 @@ class TestParseEdgeList:
         with pytest.raises(MissingHeaderError):
             parse_edge_list("")
 
+    @pytest.mark.parametrize(
+        "text,error,line",
+        [
+            ("n \u00b2\n", MissingHeaderError, 1),
+            ("n \uff13\n0 1", MissingHeaderError, 1),
+            ("n 3\n0 \u0662", MalformedLineError, 2),
+            ("n 3\n+0 1", MalformedLineError, 2),
+            ("n 03\n0 1", MissingHeaderError, 1),
+            ("n 3\n00 1", MalformedLineError, 2),
+            ("n 3\n-1 1", MalformedLineError, 2),
+        ],
+        ids=[
+            "superscript-count",
+            "fullwidth-count",
+            "arabic-indic-id",
+            "plus-sign-id",
+            "leading-zero-count",
+            "leading-zero-id",
+            "negative-id",
+        ],
+    )
+    def test_non_canonical_number_rejected(self, text, error, line):
+        with pytest.raises(error) as err:
+            parse_edge_list(text)
+        assert err.value.line == line
+
     def test_serialize_then_parse_is_identity(self):
         g = GraphInput(6, ((4, 0), (1, 2)))
         canonical = serialize_edge_list(g)

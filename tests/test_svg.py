@@ -1,4 +1,7 @@
+import hashlib
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from racdraw import SvgOptions, draw_complete, render_svg, validate
 
@@ -63,3 +66,34 @@ def test_rendering_does_not_change_the_drawing(k16):
     text2 = render_svg(k16, SvgOptions(color_classes=True))
     assert text1 == text2
     assert id(k16.bends) == before
+
+
+# SHA-256 of the rendered K16 text under three option sets; the SVG bytes
+# are pinned, as the drawing document's are.
+K16_SVG_DIGESTS = {
+    "default": "a17e2713f41ccebd633b6eec585bb67970c795f6d0819289a81742db3e855c6c",
+    "color_classes": "6dfe22c6564c0fc13044f2d95c4321313c760acfcbe79929626d1a214bfeb99f",
+    "scaled_markers": "a15421ce47b8787089f15b8029cd5689e94cd2241c604101cbbdfbf3ed3518dd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(K16_SVG_DIGESTS))
+def test_k16_svg_digests_are_pinned(k16, k16_filtered, case):
+    options = {
+        "default": SvgOptions(),
+        "color_classes": SvgOptions(color_classes=True),
+        "scaled_markers": SvgOptions(
+            scale=3.0, vertex_labels=False, crossing_report=k16_filtered[0]
+        ),
+    }[case]
+    text = render_svg(k16, options)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == K16_SVG_DIGESTS[case]
+
+
+def test_single_vertex_svg_is_pinned():
+    # No edges: the edge group is empty and closes itself.
+    text = render_svg(draw_complete(1))
+    assert '<g stroke="#333333" stroke-width="0.75" fill="none" />' in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "21aac4e1c2f7dcc46757979c9d53592db55d7cb3f87f1a446664365b7e05019e"
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,7 +19,6 @@ from racdraw import (
     bounding_box,
     draw_complete,
     draw_graph,
-    filtered_pair_stream,
     segment_pair,
     stats,
     validate,
@@ -193,6 +193,22 @@ class TestValidate:
         assert rf.to_json_bytes() == rb.to_json_bytes()
         assert rf.violations
 
+    def test_k16_report_digest_is_pinned(self, k16_filtered, k16_brute):
+        # SHA-256 of the canonical rac-report/1 bytes.
+        data = k16_filtered[0].to_json_bytes()
+        assert data == k16_brute[0].to_json_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "a110d3d1f5cacf915eaf4a1f7de1140385f5da0e8fd6ef1c7c501f85efe6b38e"
+        )
+
+    def test_corrupted_report_digest_is_pinned(self, k16):
+        b = _bend(k16, 3, 1)
+        report = validate(_replace_bend(k16, 3, 1, Point(b.x + 1, b.y)), FILTERED)
+        assert len(report.violations) == 85
+        assert hashlib.sha256(report.to_json_bytes()).hexdigest() == (
+            "ebcff0f31b5b344a59e3319c7e61c5d05294aece16df93541e23970432fab449"
+        )
+
 
 class TestDefectKinds:
     def test_zero_length_and_coincident(self, k16):
@@ -285,9 +301,23 @@ class TestStats:
         assert s.crossing_count == 0
 
 
+def _candidates(d):
+    """(kind, segment_i, segment_j) for every pair the filtered sweep visits.
+
+    Pairs within one exact slope family are "collinear" candidates, all
+    others "crossing" candidates; segment s is class s % 7 + 1 of edge
+    s // 7.
+    """
+    out = []
+    for fa, fb, ia, jb in validator._family_pair_candidates(_Table(d)):
+        kind = "collinear" if fa == fb != validator._VAR else "crossing"
+        out.extend((kind, i, j) for i, j in zip(ia.tolist(), jb.tolist()))
+    return out
+
+
 class TestFilteredPairStream:
     def test_candidate_count_below_all_pairs(self, k16):
-        candidates = list(filtered_pair_stream(k16))
+        candidates = _candidates(k16)
         total_pairs = 840 * 839 // 2
         assert len(candidates) < total_pairs
         # Recorded at 11117 for the 16-vertex complete drawing (a 96.8%
@@ -297,25 +327,25 @@ class TestFilteredPairStream:
     def test_same_slope_family_pairs_never_crossing_candidates(self, k16):
         rising = {SegmentClass.S2, SegmentClass.S4}
         falling = {SegmentClass.S3, SegmentClass.S5}
-        for cand in filtered_pair_stream(k16):
-            if cand.kind != "crossing":
+        for kind, i, j in _candidates(k16):
+            if kind != "crossing":
                 continue
-            ca, cb = cand.a[1], cand.b[1]
+            ca, cb = SegmentClass(i % 7 + 1), SegmentClass(j % 7 + 1)
             assert not (ca in rising and cb in rising)
             assert not (ca in falling and cb in falling)
             assert not (ca is SegmentClass.S6 and cb is SegmentClass.S6)
 
     def test_chunk_size_does_not_change_result(self, k16, k16_filtered, monkeypatch):
         report, _ = k16_filtered
-        candidates = list(filtered_pair_stream(k16))
+        candidates = _candidates(k16)
         monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", 7)
-        assert list(filtered_pair_stream(k16)) == candidates
+        assert _candidates(k16) == candidates
         assert validate(k16, FILTERED).to_json_bytes() == report.to_json_bytes()
 
     def test_single_edge_has_no_cross_edge_pairs(self):
         d = draw_graph(GraphInput(5, ((0, 4),)))
-        for cand in filtered_pair_stream(d):
-            assert cand.a[0] == cand.b[0] == 0
+        for _, i, j in _candidates(d):
+            assert i // 7 == j // 7 == 0
 
 
 def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
