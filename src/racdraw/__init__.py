@@ -15,13 +15,10 @@ from .layout import (
     vertex_slot,
 )
 from .model import (
-    Crossing,
     CrossingReport,
     Defect,
     DefectKind,
     Drawing,
-    Point,
-    SegmentClass,
     ceil_fourth_root,
     perpendicular,
 )
@@ -45,8 +42,6 @@ from .io import (
 )
 from .svg import SvgOptions, render_svg
 from .validator import (
-    PairKind,
-    PairResult,
     StatsReport,
     ValidationMode,
     bounding_box,
@@ -58,7 +53,6 @@ from .validator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Crossing",
     "CrossingReport",
     "Defect",
     "DefectKind",
@@ -72,10 +66,6 @@ __all__ = [
     "MalformedLineError",
     "MissingHeaderError",
     "NonIntegerCoordinateError",
-    "PairKind",
-    "PairResult",
-    "Point",
-    "SegmentClass",
     "SelfLoopError",
     "StatsReport",
     "SvgOptions",

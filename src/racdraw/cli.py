@@ -50,10 +50,6 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(str(exc))
 
 
-def _mode(name: str) -> ValidationMode:
-    return ValidationMode.BRUTE_FORCE if name == "brute" else ValidationMode.FILTERED
-
-
 def cmd_draw(args) -> int:
     if (args.n is None) == (args.input is None):
         raise CliError("exactly one of --n and --input is required")
@@ -76,7 +72,7 @@ def cmd_draw(args) -> int:
 
 def cmd_validate(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
-    report = validate(drawing, _mode(args.mode))
+    report = validate(drawing, ValidationMode(args.mode))
     print(f"drawing: n={report.n} m={report.m}")
     hist = ", ".join(f"{k}={v}" for k, v in sorted(report.pair_counts.items()))
     print(f"crossings: {report.crossing_count}" + (f" ({hist})" if hist else ""))
@@ -94,7 +90,7 @@ def cmd_validate(args) -> int:
 
 def cmd_stats(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
-    result = stats(drawing, mode=_mode(args.mode))
+    result = stats(drawing)
     if args.json:
         print(json.dumps(result.to_json_dict(), sort_keys=True))
     else:
@@ -104,7 +100,7 @@ def cmd_stats(args) -> int:
 
 def cmd_svg(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
-    report = validate(drawing, _mode(args.mode)) if args.mark_crossings else None
+    report = validate(drawing) if args.mark_crossings else None
     options = SvgOptions(
         scale=args.scale,
         color_classes=args.color_classes,
@@ -196,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="print drawing statistics")
     p_stats.add_argument("file", help="drawing JSON ('-' for stdin)")
-    p_stats.add_argument("--mode", choices=("brute", "filtered"), default="filtered")
     p_stats.add_argument("--json", action="store_true", help="emit JSON")
     p_stats.set_defaults(func=cmd_stats)
 
@@ -208,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_svg.add_argument(
         "--mark-crossings", action="store_true", help="validate and mark crossings"
     )
-    p_svg.add_argument("--mode", choices=("brute", "filtered"), default="filtered")
     p_svg.add_argument("--no-labels", action="store_true")
     p_svg.set_defaults(func=cmd_svg)
 
@@ -225,13 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Domain model shared by the layout engine, the validator, and I/O.
 
 Everything geometric in this package is exact: grid coordinates are Python
-integers (arbitrary precision), crossing locations are `fractions.Fraction`
-pairs. No value in this module ever passes through binary floating point.
+integers (arbitrary precision), and a crossing location is an integer
+numerator pair over a positive integer denominator. No value in this
+module ever passes through binary floating point.
 
 A ``Drawing`` stores each fact once, as three integer arrays: the vertex
 points, the endpoint ids of each edge, and the six bends of each edge.
@@ -15,31 +16,10 @@ All types are immutable values and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
-from fractions import Fraction
+from enum import Enum
 from math import gcd, isqrt
 
 import numpy as np
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Point:
-    """A grid point with exact signed integer coordinates."""
-
-    x: int
-    y: int
-
-
-class SegmentClass(IntEnum):
-    """Which of the seven polyline segments an edge segment is (S1 = first)."""
-
-    S1 = 1
-    S2 = 2
-    S3 = 3
-    S4 = 4
-    S5 = 5
-    S6 = 6
-    S7 = 7
 
 
 def ceil_fourth_root(n: int) -> int:
@@ -183,29 +163,14 @@ class Defect:
         return (self.kind.value, self.participants, self.location)
 
 
-@dataclass(frozen=True, slots=True)
-class Crossing:
-    """A proper interior-interior intersection of two classed segments."""
-
-    edge_a: int
-    class_a: SegmentClass
-    edge_b: int
-    class_b: SegmentClass
-    point: tuple[Fraction, Fraction]
-    perpendicular: bool
-
-    def sort_key(self) -> tuple:
-        return (self.edge_a, self.edge_b, self.class_a, self.class_b, self.point)
-
-
 def _format_ratio(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def format_point(x: int | Fraction, y: int | Fraction) -> str:
-    """Canonical "x,y" string of an exact point (rationals as "p/q")."""
+def format_point(x: int, y: int) -> str:
+    """Canonical "x,y" string of a grid point."""
     return f"{x},{y}"
 
 
@@ -234,9 +199,8 @@ class CrossingReport:
     s % 7 + 1 of edge s // 7. Columns are int64, or object arrays of Python
     ints where a value exceeds int64, with denominators > 0. They arrive
     unsorted, each segment pair in either orientation. The listing (edges,
-    classes, canonical order) is derived and written on each call of
-    ``crossings`` or ``to_json_bytes``, and nothing of it is kept, so
-    counting never sorts.
+    classes, canonical order) is derived on each call of ``listing`` or
+    ``to_json_bytes``, and nothing of it is kept, so counting never sorts.
     """
 
     __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_cols")
@@ -265,9 +229,13 @@ class CrossingReport:
         }
         self._cols = crossing_columns
 
-    def _listing(self) -> tuple[list, ...]:
-        """(edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp) in
-        canonical order, as Python lists."""
+    def listing(self) -> tuple[list, ...]:
+        """The crossings as eight equal-length Python lists in canonical
+        order: (edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp).
+
+        Classes are the ints 1..7, and each crossing lies at
+        (x_num / den, y_num / den), den > 0, not reduced.
+        """
         sa, sb = self._cols[:2]
         sa, sb = np.minimum(sa, sb), np.maximum(sa, sb)
         ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
@@ -281,20 +249,6 @@ class CrossingReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        return tuple(
-            Crossing(
-                a,
-                SegmentClass(c),
-                b,
-                SegmentClass(e),
-                (Fraction(x, q), Fraction(y, q)),
-                p,
-            )
-            for a, b, c, e, x, y, q, p in zip(*self._listing())
-        )
 
     def all_perpendicular(self) -> bool:
         """True iff every recorded crossing meets at an exact right angle."""
@@ -314,7 +268,7 @@ class CrossingReport:
         crossings = ",".join(
             _CROSSING_TEMPLATE
             % (c, e, a, b, _JSON_BOOL[p], _format_ratio(x, q), _format_ratio(y, q))
-            for a, b, c, e, x, y, q, p in zip(*self._listing())
+            for a, b, c, e, x, y, q, p in zip(*self.listing())
         )
         violations = ",".join(
             '{"kind":"%s","location":[%s],"participants":[%s]}'

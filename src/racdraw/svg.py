@@ -11,6 +11,7 @@ drawing's arrays and the report's columns; no XML tree is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .layout import vertex_slot
@@ -41,6 +42,10 @@ class SvgOptions:
     color_classes: bool = False
     crossing_report: CrossingReport | None = None
     vertex_labels: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, not {self.scale}")
 
 
 def _fmt(v: float) -> str:
@@ -115,7 +120,7 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
 
     if options.crossing_report is not None:
         # x / q is float(Fraction(x, q)): true division of ints rounds once.
-        *_, xs, ys, dens, _ = options.crossing_report._listing()
+        *_, xs, ys, dens, _ = options.crossing_report.listing()
         marker_radius = _fmt(max(1.2, scale * 0.6))
         markers = [
             f'<circle cx="{_fmt(tx(x / q))}" cy="{_fmt(ty(y / q))}" r="{marker_radius}" />'

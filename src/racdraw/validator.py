@@ -1,8 +1,9 @@
 """Independent certification that a drawing is right-angle-crossing.
 
 The validator never trusts the layout engine: it enumerates segment pairs,
-classifies every intersection with exact integer/rational arithmetic, and
-reports crossings and defects as data. Two enumeration modes exist:
+classifies every intersection with exact integer arithmetic (a crossing
+point is a numerator pair over a positive denominator), and reports
+crossings and defects as data. Two enumeration modes exist:
 
 * ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs in pure
   Python big-int arithmetic; the trust anchor.
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +49,7 @@ from .model import (
     Defect,
     DefectKind,
     Drawing,
-    Point,
+    _format_ratio,
     format_point,
     int_column,
 )
@@ -78,28 +78,6 @@ _CANDIDATE_CHUNK = 1 << 18
 class ValidationMode(Enum):
     BRUTE_FORCE = "brute"
     FILTERED = "filtered"
-
-
-class PairKind(Enum):
-    DISJOINT = "Disjoint"
-    SHARED_ENDPOINT_ONLY = "SharedEndpointOnly"
-    PROPER_CROSSING = "ProperCrossing"
-    TOUCH = "Touch"
-    OVERLAP = "Overlap"
-
-
-@dataclass(frozen=True, slots=True)
-class PairResult:
-    """Classification of how two segments intersect.
-
-    ``point`` is set for shared endpoints, touches, and proper crossings
-    (exact rationals; integral cases are integer-valued Fractions);
-    ``overlap`` holds the endpoints of the shared sub-segment.
-    """
-
-    kind: PairKind
-    point: tuple[Fraction, Fraction] | None = None
-    overlap: tuple[Point, Point] | None = None
 
 
 def _classify(ax, ay, bx, by, cx, cy, dx, dy):
@@ -150,35 +128,14 @@ def _classify(ax, ay, bx, by, cx, cy, dx, dy):
     return ("overlap", first[0], first[1], last[0], last[1])
 
 
-def segment_pair(seg1, seg2) -> PairResult:
-    """Classify the intersection of two segments with integer endpoints.
-
-    Accepts ``(Point, Point)`` pairs or ``(SegmentClass, Point, Point)``
-    triples. Raises on zero-length input.
+def segment_pair(s, r):
+    """Classify the intersection of two segments given as ``(x0, y0, x1, y1)``
+    integer tuples: ``_classify``'s tagged tuple, or None when disjoint.
+    Raises on zero-length input.
     """
-    p1, q1 = seg1[-2], seg1[-1]
-    p2, q2 = seg2[-2], seg2[-1]
-    if p1 == q1 or p2 == q2:
+    if s[:2] == s[2:] or r[:2] == r[2:]:
         raise ValueError("zero-length segment")
-    res = _classify(p1.x, p1.y, q1.x, q1.y, p2.x, p2.y, q2.x, q2.y)
-    if res is None:
-        return PairResult(PairKind.DISJOINT)
-    tag = res[0]
-    if tag == "shared":
-        return PairResult(
-            PairKind.SHARED_ENDPOINT_ONLY, point=(Fraction(res[1]), Fraction(res[2]))
-        )
-    if tag == "touch":
-        return PairResult(PairKind.TOUCH, point=(Fraction(res[1]), Fraction(res[2])))
-    if tag == "proper":
-        xn, yn, den = res[1], res[2], res[3]
-        return PairResult(
-            PairKind.PROPER_CROSSING, point=(Fraction(xn, den), Fraction(yn, den))
-        )
-    return PairResult(
-        PairKind.OVERLAP,
-        overlap=(Point(res[1], res[2]), Point(res[3], res[4])),
-    )
+    return _classify(*s, *r)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +304,7 @@ def _record_crossing(t, i, j, xn, yn, den, perp, rows, defects) -> None:
     allowed = (min(ca, cb), max(ca, cb)) in ALLOWED_CLASS_PAIRS
     if perp and allowed:
         return
-    loc = (format_point(Fraction(xn, den), Fraction(yn, den)),)
+    loc = (f"{_format_ratio(xn, den)},{_format_ratio(yn, den)}",)
     labels = _pair_labels(t, i, j)
     if not perp:
         defects.append(Defect(DefectKind.NON_PERPENDICULAR_CROSSING, labels, loc))
@@ -681,14 +638,10 @@ class StatsReport:
         return "\n".join(lines)
 
 
-def stats(
-    d: Drawing,
-    report: CrossingReport | None = None,
-    mode: ValidationMode = ValidationMode.FILTERED,
-) -> StatsReport:
+def stats(d: Drawing, report: CrossingReport | None = None) -> StatsReport:
     """Compute the drawing's headline numbers, validating if needed."""
     if report is None:
-        report = validate(d, mode)
+        report = validate(d)
     xmin, xmax, ymin, ymax = report.bbox
     width, height = xmax - xmin, ymax - ymin
     return StatsReport(

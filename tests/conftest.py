@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
 
@@ -46,3 +47,16 @@ def random_graph(rng: random.Random, max_n: int = 81, max_m: int = 100) -> Graph
     rng.shuffle(pool)
     m = rng.randint(0, min(max_m, len(pool)))
     return GraphInput(n=n, edges=tuple(pool[:m]))
+
+
+def pair_payload(result):
+    """``segment_pair``'s result in the oracle's (tag, payload) form."""
+    if result is None:
+        return None, None
+    tag, *ints = result
+    if tag == "proper":
+        xn, yn, den = ints
+        return tag, (Fraction(xn, den), Fraction(yn, den))
+    if tag == "overlap":
+        return tag, frozenset(((ints[0], ints[1]), (ints[2], ints[3])))
+    return tag, tuple(ints)

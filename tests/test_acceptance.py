@@ -93,8 +93,12 @@ def test_criterion_1_rac_certification(k16_filtered, k16_brute, k81_filtered):
         assert rep81.pair_counts == K81_PAIR_COUNTS
         # Spot-check exactness: a hand-computed crossing with its rational
         # coordinates and zero dot product.
-        hand = [c for c in rep16.crossings if (c.edge_a, c.edge_b) == (3, 54)]
-        assert (Fraction(5747, 65), Fraction(-3726, 65)) in [c.point for c in hand]
+        hand = [
+            (Fraction(x, q), Fraction(y, q))
+            for a, b, _, _, x, y, q, _ in zip(*rep16.listing())
+            if (a, b) == (3, 54)
+        ]
+        assert (Fraction(5747, 65), Fraction(-3726, 65)) in hand
 
 
 def test_criterion_2_same_class_separation(k16_filtered, k81_filtered):
@@ -104,10 +108,8 @@ def test_criterion_2_same_class_separation(k16_filtered, k81_filtered):
                 a, b = key.split("x")
                 assert a != b
         report16, _ = k16_filtered
-        assert all(
-            (c.edge_a, c.class_a) != (c.edge_b, c.class_b)
-            for c in report16.crossings
-        )
+        ea, eb, ca, cb, *_ = report16.listing()
+        assert all((a, c) != (b, e) for a, b, c, e in zip(ea, eb, ca, cb))
 
 
 def test_criterion_3_curve_complexity(k16, k81):

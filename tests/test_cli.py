@@ -91,6 +91,24 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "vertex.x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["stats"], ["svg", "--out", "-"]])
+    def test_coordinates_beyond_float_range(self, tmp_path, capsys, command):
+        # Exact ints far past float range load and certify; the area ratio
+        # and the SVG viewport need floats and cannot be computed.
+        small = tmp_path / "k5.json"
+        assert main(["draw", "--n", "5", "--complete", "--out", str(small)]) == 0
+        doc = json.loads(small.read_text())
+        big = 10**400
+        for vertex in doc["vertices"]:
+            vertex["x"] = str(int(vertex["x"]) * big)
+        for edge in doc["edges"]:
+            edge["bends"] = [[str(int(x) * big), y] for x, y in edge["bends"]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command[0], str(huge), *command[1:]]) == 2
+        assert "too large" in capsys.readouterr().err
+
 
 class TestStats:
     def test_text(self, k16_file, capsys):

@@ -6,8 +6,6 @@ import pytest
 from racdraw import (
     Drawing,
     GraphInput,
-    Point,
-    SegmentClass,
     draw_complete,
     draw_graph,
     params_from_n,
@@ -88,11 +86,6 @@ class TestGridParams:
             document_to_drawing(doc)
 
 
-def test_segment_classes_are_one_through_seven():
-    assert [c.value for c in SegmentClass] == [1, 2, 3, 4, 5, 6, 7]
-    assert SegmentClass.S4.name == "S4"
-
-
 def test_polyline_points_and_segments_shape():
     d = draw_graph(GraphInput(5, ((0, 4),)))
     pts = d.polylines()[0].tolist()
@@ -106,7 +99,6 @@ def test_polyline_points_and_segments_shape():
 
 
 def test_point_ordering_is_lexicographic():
-    assert Point(1, 5) < Point(2, -10)
     # Slots follow vertex ids: (1, 9) is vertex 8 and (2, 1) vertex 9 at l = 3.
     assert vertex_slot(3, 8) == (1, 9) and vertex_slot(3, 9) == (2, 1)
     assert vertex_slot(3, 8) < vertex_slot(3, 9)

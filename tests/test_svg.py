@@ -48,6 +48,12 @@ def test_vertex_dots_and_labels(k16):
     assert texts[0].text == "v0 (1,1)"
 
 
+@pytest.mark.parametrize("scale", [-2.0, 0.0, float("nan"), float("inf")])
+def test_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SvgOptions(scale=scale)
+
+
 def test_scale_changes_viewport(k16):
     small = _parse(render_svg(k16, SvgOptions(scale=1.0)))
     big = _parse(render_svg(k16, SvgOptions(scale=4.0)))

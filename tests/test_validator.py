@@ -6,15 +6,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import pair_payload, random_graph
 
 from racdraw import (
     DefectKind,
     Drawing,
     GraphInput,
-    PairKind,
-    Point,
-    SegmentClass,
     ValidationMode,
     bounding_box,
     draw_complete,
@@ -35,57 +32,51 @@ K16_CROSSINGS = 7760
 K16_PAIR_COUNTS = {"S2xS3": 5265, "S3xS4": 1065, "S4xS5": 1430}
 
 
-def seg(ax, ay, bx, by):
-    return (Point(ax, ay), Point(bx, by))
-
-
 class TestSegmentPair:
     def test_axis_cross(self):
-        res = segment_pair(seg(0, 0, 10, 0), seg(5, -5, 5, 5))
-        assert res.kind is PairKind.PROPER_CROSSING
-        assert res.point == (Fraction(5), Fraction(0))
+        res = segment_pair((0, 0, 10, 0), (5, -5, 5, 5))
+        assert res == ("proper", 500, 0, 100)
+        assert pair_payload(res) == ("proper", (Fraction(5), Fraction(0)))
 
     def test_shared_endpoint(self):
-        res = segment_pair(seg(0, 0, 10, 0), seg(10, 0, 20, 7))
-        assert res.kind is PairKind.SHARED_ENDPOINT_ONLY
-        assert res.point == (10, 0)
+        res = segment_pair((0, 0, 10, 0), (10, 0, 20, 7))
+        assert res == ("shared", 10, 0)
 
     def test_collinear_overlap(self):
-        res = segment_pair(seg(0, 0, 10, 0), seg(4, 0, 20, 0))
-        assert res.kind is PairKind.OVERLAP
-        assert res.overlap == (Point(4, 0), Point(10, 0))
+        res = segment_pair((0, 0, 10, 0), (4, 0, 20, 0))
+        assert res == ("overlap", 4, 0, 10, 0)
 
     def test_touch(self):
-        res = segment_pair(seg(0, 0, 10, 0), seg(4, 0, 4, 9))
-        assert res.kind is PairKind.TOUCH
-        assert res.point == (4, 0)
+        res = segment_pair((0, 0, 10, 0), (4, 0, 4, 9))
+        assert res == ("touch", 4, 0)
 
     def test_disjoint_parallel(self):
-        res = segment_pair(seg(0, 0, 10, 0), seg(0, 1, 10, 1))
-        assert res.kind is PairKind.DISJOINT
+        assert segment_pair((0, 0, 10, 0), (0, 1, 10, 1)) is None
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="zero-length"):
-            segment_pair(seg(1, 1, 1, 1), seg(0, 0, 1, 0))
+            segment_pair((1, 1, 1, 1), (0, 0, 1, 0))
 
     def test_accepts_classed_triples(self, k16):
-        pts = [Point(x, y) for x, y in k16.polylines()[0].tolist()]
-        segments = [(SegmentClass(r + 1), pts[r], pts[r + 1]) for r in range(7)]
-        res = segment_pair(segments[0], segments[2])
-        assert res.kind is PairKind.DISJOINT
+        # Segment r of an edge's polyline is its class S(r + 1); S1 and S3
+        # of the first edge are apart.
+        pts = k16.polylines()[0].tolist()
+        segments = [(*pts[r], *pts[r + 1]) for r in range(7)]
+        assert segment_pair(segments[0], segments[2]) is None
 
     def test_k16_second_vs_third_segments_disjoint(self):
         # S2 of the edge to the right neighbour spans x in [3, 75]; S3 of
         # the edge to the level below spans x in [80, 95]: no contact.
-        res = segment_pair(seg(3, 1, 75, 10), seg(80, 10, 95, -110))
-        assert res.kind is PairKind.DISJOINT
+        assert segment_pair((3, 1, 75, 10), (80, 10, 95, -110)) is None
 
     def test_k16_real_crossing_is_perpendicular(self):
         # S3 of the first cross-level edge against S2 of the level-2
         # neighbour edge; intersection worked out by hand with rationals.
-        res = segment_pair(seg(80, 10, 95, -110), seg(19, -66, 107, -55))
-        assert res.kind is PairKind.PROPER_CROSSING
-        assert res.point == (Fraction(5747, 65), Fraction(-3726, 65))
+        res = segment_pair((80, 10, 95, -110), (19, -66, 107, -55))
+        assert pair_payload(res) == (
+            "proper",
+            (Fraction(5747, 65), Fraction(-3726, 65)),
+        )
         d1 = (95 - 80, -110 - 10)
         d2 = (107 - 19, -55 + 66)
         assert d1[0] * d2[0] + d1[1] * d2[1] == 0
@@ -107,26 +98,22 @@ class TestSegmentPairAgainstFractionOracle:
     def test_agreement(self, s1, s2):
         from test_properties import oracle_classify
 
-        res = segment_pair(seg(*s1), seg(*s2))
-        kind, payload = oracle_classify(s1, s2)
-        assert res.kind is kind
-        if kind is PairKind.PROPER_CROSSING:
-            assert res.point == payload
+        assert pair_payload(segment_pair(s1, s2)) == oracle_classify(s1, s2)
 
 
 def _bend(drawing, edge_idx, bend_idx):
-    return Point(*drawing.bends[edge_idx, bend_idx].tolist())
+    return tuple(drawing.bends[edge_idx, bend_idx].tolist())
 
 
 def _replace_bend(drawing, edge_idx, bend_idx, new_point):
     bends = drawing.bends.astype(object)
-    bends[edge_idx, bend_idx] = (new_point.x, new_point.y)
+    bends[edge_idx, bend_idx] = new_point
     return Drawing(drawing.vertices, drawing.endpoints, bends)
 
 
 def _move_vertex(drawing, v, new_point):
     vertices = drawing.vertices.astype(object)
-    vertices[v] = (new_point.x, new_point.y)
+    vertices[v] = new_point
     return Drawing(vertices, drawing.endpoints, drawing.bends)
 
 
@@ -149,29 +136,23 @@ class TestValidate:
     def test_k16_contains_hand_checked_crossing(self, k16_filtered):
         report, _ = k16_filtered
         match = [
-            c
-            for c in report.crossings
-            if c.edge_a == 3 and c.edge_b == 54 and c.class_a is SegmentClass.S3
+            (cb, Fraction(x, q), Fraction(y, q), p)
+            for a, b, ca, cb, x, y, q, p in zip(*report.listing())
+            if a == 3 and b == 54 and ca == 3
         ]
-        assert len(match) == 1
-        assert match[0].class_b is SegmentClass.S2
-        assert match[0].point == (Fraction(5747, 65), Fraction(-3726, 65))
-        assert match[0].perpendicular
+        assert match == [(2, Fraction(5747, 65), Fraction(-3726, 65), True)]
 
     def test_same_class_crossings_absent(self, k16_filtered):
         report, _ = k16_filtered
-        assert all(
-            c.class_a != c.class_b or c.edge_a != c.edge_b for c in report.crossings
-        )
+        ea, eb, ca, cb, *_ = report.listing()
+        assert all(a != b or c != e for a, b, c, e in zip(ea, eb, ca, cb))
         for key in report.pair_counts:
             a, b = key.split("x")
             assert a != b
 
     def test_crossings_canonically_ordered(self, k16_filtered):
         report, _ = k16_filtered
-        keys = [
-            (c.edge_a, c.edge_b, c.class_a, c.class_b) for c in report.crossings
-        ]
+        keys = list(zip(*report.listing()[:4]))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
@@ -179,7 +160,7 @@ class TestValidate:
         # Shift one bend of a crossing-heavy edge: its rising segment loses
         # the exact slope, so its crossings stop being perpendicular.
         b = _bend(k16, 3, 1)
-        bad = _replace_bend(k16, 3, 1, Point(b.x + 1, b.y))
+        bad = _replace_bend(k16, 3, 1, (b[0] + 1, b[1]))
         report = validate(bad, FILTERED)
         assert report.violations
         kinds = {d.kind for d in report.violations}
@@ -187,7 +168,7 @@ class TestValidate:
 
     def test_corrupted_modes_agree(self, k16):
         b = _bend(k16, 3, 1)
-        bad = _replace_bend(k16, 3, 1, Point(b.x + 1, b.y))
+        bad = _replace_bend(k16, 3, 1, (b[0] + 1, b[1]))
         rf = validate(bad, FILTERED)
         rb = validate(bad, BRUTE)
         assert rf.to_json_bytes() == rb.to_json_bytes()
@@ -203,7 +184,7 @@ class TestValidate:
 
     def test_corrupted_report_digest_is_pinned(self, k16):
         b = _bend(k16, 3, 1)
-        report = validate(_replace_bend(k16, 3, 1, Point(b.x + 1, b.y)), FILTERED)
+        report = validate(_replace_bend(k16, 3, 1, (b[0] + 1, b[1])), FILTERED)
         assert len(report.violations) == 85
         assert hashlib.sha256(report.to_json_bytes()).hexdigest() == (
             "ebcff0f31b5b344a59e3319c7e61c5d05294aece16df93541e23970432fab449"
@@ -230,7 +211,7 @@ class TestDefectKinds:
     def test_endpoint_touch_flagged(self, k16):
         # Drop edge 54's first bend onto an interior lattice point of edge
         # 3's falling segment (80,10)-(95,-110); its endpoints then touch.
-        bad = _replace_bend(k16, 54, 0, Point(81, 2))
+        bad = _replace_bend(k16, 54, 0, (81, 2))
         report = validate(bad, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.ENDPOINT_TOUCHES_INTERIOR in kinds
@@ -239,8 +220,8 @@ class TestDefectKinds:
     def test_segment_through_vertex_flagged(self, k16):
         # Route edge 3 so its vertical segment passes through vertex 4's
         # point (12,-67): move bends e/f to x=12 around the vertex.
-        bad = _replace_bend(k16, 3, 4, Point(12, -95))
-        bad = _replace_bend(bad, 3, 5, Point(12, -50))
+        bad = _replace_bend(k16, 3, 4, (12, -95))
+        bad = _replace_bend(bad, 3, 5, (12, -50))
         report = validate(bad, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.SEGMENT_THROUGH_VERTEX in kinds
@@ -249,7 +230,7 @@ class TestDefectKinds:
     def test_disallowed_class_pair_flagged(self, k16):
         # Stretch edge 0's first segment far upward so it crosses rising
         # segments of its own level: an S1 crossing is never allowed.
-        bad = _replace_bend(k16, 0, 0, Point(40, 9))
+        bad = _replace_bend(k16, 0, 0, (40, 9))
         report = validate(bad, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.DISALLOWED_CLASS_PAIR in kinds
@@ -259,7 +240,7 @@ class TestDefectKinds:
         # A drawing whose only edge runs over a third, isolated vertex:
         # the pair scans cannot see it, the vertex scan must.
         base = draw_graph(GraphInput(5, ((0, 4),)))
-        moved = _move_vertex(base, 1, Point(20, -80))  # interior of the S6 segment
+        moved = _move_vertex(base, 1, (20, -80))  # interior of the S6 segment
         report = validate(moved, FILTERED)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.SEGMENT_THROUGH_VERTEX in kinds
@@ -296,7 +277,8 @@ class TestStats:
         assert s.area_ratio == pytest.approx(47882 / 16**2.75)
 
     def test_two_vertices(self):
-        s = stats(draw_complete(2), mode=BRUTE)
+        d = draw_complete(2)
+        s = stats(d, report=validate(d, BRUTE))
         assert s.m == 1
         assert s.crossing_count == 0
 
@@ -325,15 +307,15 @@ class TestFilteredPairStream:
         assert len(candidates) <= 11117
 
     def test_same_slope_family_pairs_never_crossing_candidates(self, k16):
-        rising = {SegmentClass.S2, SegmentClass.S4}
-        falling = {SegmentClass.S3, SegmentClass.S5}
+        rising = {2, 4}
+        falling = {3, 5}
         for kind, i, j in _candidates(k16):
             if kind != "crossing":
                 continue
-            ca, cb = SegmentClass(i % 7 + 1), SegmentClass(j % 7 + 1)
+            ca, cb = i % 7 + 1, j % 7 + 1
             assert not (ca in rising and cb in rising)
             assert not (ca in falling and cb in falling)
-            assert not (ca is SegmentClass.S6 and cb is SegmentClass.S6)
+            assert not (ca == cb == 6)
 
     def test_chunk_size_does_not_change_result(self, k16, k16_filtered, monkeypatch):
         report, _ = k16_filtered
@@ -386,34 +368,44 @@ class TestMagnitudeRegimes:
         assert filtered.crossing_count == K16_CROSSINGS
         assert filtered.pair_counts == K16_PAIR_COUNTS
 
-    # Corruptions as (defect expected, participants or None, moved bends).
-    # The touches keep both segments in their exact slope families: a POS
-    # end on a NEG interior, and a NEG end on a POS interior.
+    # Corruptions as (defects expected, each a kind with its participants
+    # or None, moved bends). The touches keep both segments in their exact
+    # slope families: a POS end on a NEG interior, and a NEG end on a POS
+    # interior. Bend f of edge 3 moved onto bend e reaches both point scans.
     CORRUPTIONS = {
-        "bent": (DefectKind.NON_PERPENDICULAR_CROSSING, None, ((3, 1, Point(81, 10)),)),
+        "bent": (
+            ((DefectKind.NON_PERPENDICULAR_CROSSING, None),),
+            ((3, 1, (81, 10)),),
+        ),
         "pos-end": (
-            DefectKind.ENDPOINT_TOUCHES_INTERIOR,
-            ("segment:3:S3", "segment:54:S2"),
-            ((54, 0, Point(-7, -9)), (54, 1, Point(81, 2))),
+            ((DefectKind.ENDPOINT_TOUCHES_INTERIOR, ("segment:3:S3", "segment:54:S2")),),
+            ((54, 0, (-7, -9)), (54, 1, (81, 2))),
         ),
         "neg-end": (
-            DefectKind.ENDPOINT_TOUCHES_INTERIOR,
-            ("segment:3:S3", "segment:54:S2"),
-            ((3, 1, Point(50, 11)), (3, 2, Point(59, -61))),
+            ((DefectKind.ENDPOINT_TOUCHES_INTERIOR, ("segment:3:S3", "segment:54:S2")),),
+            ((3, 1, (50, 11)), (3, 2, (59, -61))),
+        ),
+        "point-scans": (
+            (
+                (DefectKind.ZERO_LENGTH_SEGMENT, ("segment:3:S6",)),
+                (DefectKind.COINCIDENT_POINTS, ("bend:3:e", "bend:3:f")),
+            ),
+            ((3, 5, (20, -95)),),
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("bits", [0, 20, 70])
     def test_corruptions_flagged_at_every_magnitude(self, k16, bits, name):
-        kind, participants, moves = self.CORRUPTIONS[name]
+        expected, moves = self.CORRUPTIONS[name]
         bad = k16
         for edge, index, point in moves:
             bad = _replace_bend(bad, edge, index, point)
         bad = _transform(bad, 1 << bits, 1 << bits)
         report = validate(bad, FILTERED)
-        flagged = {d.participants for d in report.violations if d.kind is kind}
-        assert flagged if participants is None else participants in flagged
+        for kind, participants in expected:
+            flagged = {d.participants for d in report.violations if d.kind is kind}
+            assert flagged if participants is None else participants in flagged
         assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
 
@@ -450,7 +442,7 @@ def _pierce(d, rng):
         ux, uy = qx - px, qy - py
         g = gcd(ux, uy)
         k = rng.choice([1, g - 1, g // 2, 0, g, -1, g + 1])
-        d = _move_vertex(d, v, Point(px + k * ux // g, py + k * uy // g))
+        d = _move_vertex(d, v, (px + k * ux // g, py + k * uy // g))
     return d
 
 
@@ -464,9 +456,9 @@ class TestVertexPiercingSweep:
         assert _reported_piercings(validate(d, FILTERED)) == _reference_piercings(d)
 
     def test_matches_reference_on_pierced_drawings(self, k16):
-        through = _replace_bend(k16, 3, 4, Point(12, -95))
-        through = _replace_bend(through, 3, 5, Point(12, -50))
-        isolated = _move_vertex(draw_graph(GraphInput(5, ((0, 4),))), 1, Point(20, -80))
+        through = _replace_bend(k16, 3, 4, (12, -95))
+        through = _replace_bend(through, 3, 5, (12, -50))
+        isolated = _move_vertex(draw_graph(GraphInput(5, ((0, 4),))), 1, (20, -80))
         for d in (k16, through, isolated):
             reported = _reported_piercings(validate(d, FILTERED))
             assert reported == _reference_piercings(d)
