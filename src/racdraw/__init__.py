@@ -20,7 +20,6 @@ from .model import (
     DefectKind,
     Drawing,
     ceil_fourth_root,
-    perpendicular,
 )
 from .io import (
     DerivedFieldError,
@@ -80,7 +79,6 @@ __all__ = [
     "loads_drawing",
     "params_from_n",
     "parse_edge_list",
-    "perpendicular",
     "read_drawing",
     "render_svg",
     "segment_pair",

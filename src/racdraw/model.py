@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
+from typing import Callable
 
 import numpy as np
 
@@ -29,16 +30,6 @@ def ceil_fourth_root(n: int) -> int:
         raise ValueError("empty graph")
     l = isqrt(isqrt(n))
     return l if l**4 >= n else l + 1
-
-
-def perpendicular(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
-    """True iff the two integer direction vectors meet at an exact right angle.
-
-    Decided by the integer dot product alone; raises on a zero vector.
-    """
-    if d1 == (0, 0) or d2 == (0, 0):
-        raise ValueError("degenerate direction")
-    return d1[0] * d2[0] + d1[1] * d2[1] == 0
 
 
 BEND_NAMES = ("a", "b", "c", "d", "e", "f")
@@ -169,6 +160,18 @@ def _format_ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
+    """``_format_ratio`` over two columns: int64 columns are reduced by one
+    vector gcd, object columns value by value."""
+    if num.dtype == object or den.dtype == object:
+        return [_format_ratio(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    g = np.gcd(num, den)
+    return [
+        str(a) if b == 1 else f"{a}/{b}"
+        for a, b in zip((num // g).tolist(), (den // g).tolist())
+    ]
+
+
 def format_point(x: int, y: int) -> str:
     """Canonical "x,y" string of a grid point."""
     return f"{x},{y}"
@@ -188,22 +191,23 @@ def _json_strings(values: tuple[str, ...]) -> str:
 
 
 class CrossingReport:
-    """Certification result: crossings, violations, extent, per-class counts.
+    """Certification result: crossing counts, violations, extent, and the
+    crossings themselves on request.
 
-    Canonically ordered ((edge_a, edge_b, class_a, class_b); that key is
-    unique per segment pair) so identical drawings always serialize to
-    identical bytes regardless of how the report was computed.
-
-    Crossings are held as NumPy columns (complete drawings produce
-    millions) keyed by segment, not by edge and class: segment s is class
-    s % 7 + 1 of edge s // 7. Columns are int64, or object arrays of Python
-    ints where a value exceeds int64, with denominators > 0. They arrive
-    unsorted, each segment pair in either orientation. The listing (edges,
-    classes, canonical order) is derived on each call of ``listing`` or
-    ``to_json_bytes``, and nothing of it is kept, so counting never sorts.
+    ``pair_counts`` maps each class pair "SaxSb" (a <= b) to its number of
+    crossings, and ``crossing_count`` is their sum. The crossings are not
+    held: ``crossings`` is a callable that enumerates them as unsorted
+    NumPy columns (segment_a, segment_b, x_num, y_num, den, perp), where
+    segment s is class s % 7 + 1 of edge s // 7, integer columns are int64
+    or object arrays of Python ints, and den > 0. ``listing`` and
+    ``to_json_bytes`` call it each time and put the result in canonical
+    order ((edge_a, edge_b, class_a, class_b); that key is unique per
+    segment pair), so identical drawings always serialize to identical
+    bytes regardless of how the report was computed, and nothing of the
+    listing is kept.
     """
 
-    __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_cols")
+    __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_crossings")
 
     def __init__(
         self,
@@ -211,23 +215,36 @@ class CrossingReport:
         m: int,
         violations: tuple[Defect, ...],
         bbox: tuple[int, int, int, int],
-        crossing_columns: tuple[np.ndarray, ...],
+        pair_counts: dict[str, int],
+        crossings: Callable[[], tuple[np.ndarray, ...]],
     ):
-        # columns: segment_a, segment_b, x_num, y_num, den, perp; segment s
-        # is class s % 7 + 1 of edge s // 7
         self.n = n
         self.m = m
         self.violations = violations
         self.bbox = bbox
-        codes = crossing_columns[0] % 7
-        codes *= 8
-        codes += crossing_columns[1] % 7
-        grid = np.bincount(codes, minlength=64).reshape(8, 8)
-        grid = np.triu(grid) + np.tril(grid, -1).T
-        self.pair_counts = {
-            f"S{a + 1}xS{b + 1}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))
-        }
-        self._cols = crossing_columns
+        self.pair_counts = pair_counts
+        self._crossings = crossings
+
+    @property
+    def crossing_count(self) -> int:
+        return sum(self.pair_counts.values())
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The crossings as eight NumPy columns in canonical order; raises if
+        the enumeration does not list exactly the counted crossings."""
+        cols = self._crossings()
+        if len(cols[0]) != self.crossing_count:
+            raise RuntimeError(
+                f"listed {len(cols[0])} crossings, counted {self.crossing_count}"
+            )
+        sa, sb = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
+        ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
+        order = np.lexsort((cb, ca, eb, ea))
+        return tuple(c[order] for c in (ea, eb, ca, cb) + cols[2:])
 
     def listing(self) -> tuple[list, ...]:
         """The crossings as eight equal-length Python lists in canonical
@@ -236,23 +253,7 @@ class CrossingReport:
         Classes are the ints 1..7, and each crossing lies at
         (x_num / den, y_num / den), den > 0, not reduced.
         """
-        sa, sb = self._cols[:2]
-        sa, sb = np.minimum(sa, sb), np.maximum(sa, sb)
-        ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
-        order = np.lexsort((cb, ca, eb, ea))
-        return tuple(c[order].tolist() for c in (ea, eb, ca, cb) + self._cols[2:])
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self._cols[0])
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def all_perpendicular(self) -> bool:
-        """True iff every recorded crossing meets at an exact right angle."""
-        return bool(self._cols[5].all())
+        return tuple(c.tolist() for c in self._columns())
 
     def to_json_bytes(self) -> bytes:
         """The canonical ``rac-report/1`` bytes.
@@ -265,10 +266,18 @@ class CrossingReport:
         """
         xmin, xmax, ymin, ymax = self.bbox
         pairs = ",".join(f'"{k}":{self.pair_counts[k]}' for k in sorted(self.pair_counts))
+        ea, eb, ca, cb, x, y, den, perp = self._columns()
         crossings = ",".join(
-            _CROSSING_TEMPLATE
-            % (c, e, a, b, _JSON_BOOL[p], _format_ratio(x, q), _format_ratio(y, q))
-            for a, b, c, e, x, y, q, p in zip(*self.listing())
+            _CROSSING_TEMPLATE % (c, e, a, b, _JSON_BOOL[p], xs, ys)
+            for a, b, c, e, p, xs, ys in zip(
+                ea.tolist(),
+                eb.tolist(),
+                ca.tolist(),
+                cb.tolist(),
+                perp.tolist(),
+                _ratio_strings(x, den),
+                _ratio_strings(y, den),
+            )
         )
         violations = ",".join(
             '{"kind":"%s","location":[%s],"participants":[%s]}'

@@ -1,32 +1,43 @@
 """Independent certification that a drawing is right-angle-crossing.
 
-The validator never trusts the layout engine: it enumerates segment pairs,
-classifies every intersection with exact integer arithmetic (a crossing
-point is a numerator pair over a positive denominator), and reports
-crossings and defects as data. Two enumeration modes exist:
+The validator never trusts the layout engine: it classifies every segment
+pair that meets with exact integer arithmetic (a crossing point is a
+numerator pair over a positive denominator), and reports crossings and
+defects as data. Two modes exist:
 
 * ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs in pure
-  Python big-int arithmetic; the trust anchor.
+  Python big-int arithmetic, recording every crossing; the trust anchor.
 * ``FILTERED``: visits only pairs whose closed spans overlap on every
   projection, found by a sorted-span sweep, and confirms them in vector
-  form. Segments of one exact slope family can only overlap, never cross.
-  Family membership is decided by each segment's actual direction, not by
-  its class label, so corrupted inputs cannot defeat the filter.
+  form; the one family pair that crosses in a valid drawing is counted,
+  not visited (below). Segments of one exact slope family can only
+  overlap, never cross. Family membership is decided by each segment's
+  actual direction, not by its class label, so corrupted inputs cannot
+  defeat the filter.
 
-Both modes must produce byte-identical reports. All accumulation is
-order-independent: crossing columns are collected unsorted and the report
-puts them in canonical order on each listing, so any schedule yields the
-same bytes. Validation never mutates the drawing.
+Both modes must produce byte-identical reports. The report holds the
+crossing counts per class pair and lists the crossings only when asked:
+each listing enumerates them afresh, unsorted, and puts them in canonical
+order, so any schedule yields the same bytes. Validation never mutates
+the drawing.
 
 No floating-point operation participates in any predicate. The filtered
 mode works in the rotated lattice basis p = x*l^3 + y, q = x - y*l^3, in
 which the two slope families are axis-parallel: POS segments keep q fixed
 and NEG segments keep p fixed, so their crossings are orthogonal segment
-intersections, decided and located exactly in (p, q). The sweep counts,
-per family pair, the closed-span overlaps on each of x, y, p and q by
-binary search and expands only the cheapest projection, in chunks of
-bounded size. Both modes find segments through vertices with the same
-sweep, vertices taking part as zero-length spans.
+intersections, decided and located exactly in (p, q). The verdict counts
+them per class pair with a sweep over p and a Fenwick decomposition over
+q ranks (Bentley & Ottmann 1979; Fenwick 1994): strict box meets (proper
+crossings), closed box meets, and, by an equality join on endpoints,
+meets at a shared endpoint. Two counts must be zero: closed minus strict
+minus shared (an endpoint on the other's interior) and any strict meet of
+a disallowed class pair. When either is not, the POS x NEG pairs are
+enumerated and each offending pair is reported exactly. Every other
+family pair is swept: the sweep counts, per family pair, the closed-span
+overlaps on each of x, y, p and q by binary search and expands only the
+cheapest projection, in chunks of bounded size. Both modes find segments
+through vertices with the same sweep, vertices taking part as zero-length
+spans.
 
 Every vector expression runs on one dtype chosen per drawing: int64 while
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
@@ -39,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -62,12 +74,14 @@ ALLOWED_CLASS_PAIRS = frozenset({(2, 3), (3, 4), (4, 5)})
 # ZERO marks zero-length segments, which belong to no family.
 _POS, _NEG, _VERT, _VAR, _ZERO = 0, 1, 2, 3, -1
 # Family pairs the sweep visits. Parallel segments never cross properly, so
-# within POS, NEG and VERT only collinear overlaps are possible.
+# within POS, NEG and VERT only collinear overlaps are possible. POS x NEG
+# is counted, not visited, unless a count shows a defect.
 _FAMILY_PAIRS = tuple((a, b) for a in range(4) for b in range(a, 4))
-# Indexed by 8 * class_a + class_b.
-_ALLOWED_CODES = np.zeros(64, dtype=bool)
+_SWEPT_PAIRS = tuple(pair for pair in _FAMILY_PAIRS if pair != (_POS, _NEG))
+# Indexed by [class_a, class_b].
+_ALLOWED = np.zeros((8, 8), dtype=bool)
 for _a, _b in ALLOWED_CLASS_PAIRS:
-    _ALLOWED_CODES[[8 * _a + _b, 8 * _b + _a]] = True
+    _ALLOWED[_a, _b] = _ALLOWED[_b, _a] = True
 
 # int64 is exact while every vector expression stays below this.
 _INT64_BOUND = 1 << 62
@@ -162,14 +176,13 @@ class _Group:
 
 
 class _Table:
-    """A drawing's segments and vertices as columns for the scans.
+    """A drawing's segments as columns for the scans.
 
     Segment i is class i % 7 + 1 (``classes``) of edge i // 7. Python lists
     feed the scalar big-int path; NumPy columns of ``dtype`` feed the vector
     path. ``spans[k]`` holds every segment's closed (lo, hi) interval on
     projection k of (x, y, p, q), where p = x*l^3 + y and q = x - y*l^3;
-    ``groups`` holds the four slope families and ``vertices`` the vertex
-    points, each sorted for the sweep.
+    ``groups`` holds the four slope families, each sorted for the sweep.
     """
 
     __slots__ = (
@@ -185,9 +198,6 @@ class _Table:
         "classes",
         "spans",
         "groups",
-        "vx",
-        "vy",
-        "vertices",
     )
 
     def __init__(self, d: Drawing):
@@ -222,10 +232,6 @@ class _Table:
             _spans(AX - AY * l3, BX - BY * l3),
         )
         self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
-        VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(dtype) for c in (0, 1))
-        self.vx, self.vy = VX.tolist(), VY.tolist()
-        points = (VX, VY, VX * l3 + VY, VX - VY * l3)
-        self.vertices = _Group(np.arange(len(VX)), [(c, c) for c in points])
 
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
@@ -264,16 +270,18 @@ def _scan_coincident_points(d: Drawing, defects: list[Defect]) -> None:
             )
 
 
-def _scan_vertex_piercings(t: _Table, defects: list[Defect]) -> None:
+def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None:
     """Flag any segment whose interior passes through a vertex point.
 
     Vertices join the span sweep as zero-length spans; each candidate
     (segment, vertex) then takes the exact interior test.
     """
     AX, AY, BX, BY = t.coords
-    VX, VY = (lo for lo, _ in t.vertices.spans[:2])
+    VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(t.dtype) for c in (0, 1))
+    points = (VX, VY, VX * t.l3 + VY, VX - VY * t.l3)
+    vertices = _Group(np.arange(len(VX)), [(c, c) for c in points])
     for group in t.groups:
-        for ia, iv in _span_pairs(group, t.vertices):
+        for ia, iv in _span_pairs(group, vertices):
             i = group.idx[ia]
             ax, ay = AX[i], AY[i]
             ux, uy = BX[i] - ax, BY[i] - ay
@@ -285,7 +293,7 @@ def _scan_vertex_piercings(t: _Table, defects: list[Defect]) -> None:
                     Defect(
                         DefectKind.SEGMENT_THROUGH_VERTEX,
                         (t.label(s), f"vertex:{v}"),
-                        (format_point(t.vx[v], t.vy[v]),),
+                        (format_point(*d.vertices[v].tolist()),),
                     )
                 )
 
@@ -441,9 +449,11 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
                 yield ia[sel], ib[sel]
 
 
-def _family_pair_candidates(t: _Table) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+def _family_pair_candidates(
+    t: _Table, pairs: tuple = _FAMILY_PAIRS
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (fa, fb, i, j): segment index chunks from families fa and fb."""
-    for fa, fb in _FAMILY_PAIRS:
+    for fa, fb in pairs:
         a = t.groups[fa]
         b = None if fa == fb else t.groups[fb]
         for ia, ib in _span_pairs(a, b):
@@ -451,38 +461,105 @@ def _family_pair_candidates(t: _Table) -> Iterator[tuple[int, int, np.ndarray, n
 
 
 # ---------------------------------------------------------------------------
-# Vector confirmation
+# POS x NEG: counted, enumerated only for defects or a listing
 # ---------------------------------------------------------------------------
 
 
-def _confirm_rotated(t: _Table, i, j, rows, col_chunks, defects) -> None:
-    """Classify POS segments ``i`` against NEG segments ``j`` in (p, q).
+def _dominance(a, b, w, x, y, top: int) -> np.ndarray:
+    """Per query k, the sum of the rows ``w[i]`` over the points with
+    ``a[i] < x[k]`` and ``b[i] < y[k]``; every value is an int64 rank, with
+    ``b < top`` and ``y <= top``.
+
+    Sorted on a, the points below x[k] are a prefix. The prefix splits into
+    aligned blocks of 2**level points, one per set bit of its length, as in
+    a Fenwick tree (Fenwick 1994); each level sorts its blocks on b, so the
+    share of one block is one binary search.
+    """
+    order = np.argsort(a, kind="stable")
+    b, w = b[order], w[order]
+    k = np.searchsorted(a[order], x)
+    out = np.zeros((len(x), w.shape[1]), dtype=np.int64)
+    cum = np.zeros((len(b) + 1, w.shape[1]), dtype=np.int64)
+    block = np.arange(len(b))
+    level = 0
+    while len(b) >> level:
+        key = (block >> level) * top + b
+        by = np.argsort(key, kind="stable")
+        np.cumsum(w[by], axis=0, out=cum[1:])
+        hit = np.nonzero((k >> level) & 1)[0]
+        start = (k[hit] >> (level + 1)) << (level + 1)
+        stop = np.searchsorted(key[by], (start >> level) * top + y[hit])
+        out[hit] += cum[stop] - cum[start]
+        level += 1
+    return out
+
+
+def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
+    """Count the POS x NEG meets without listing them.
+
+    In (p, q) a POS segment is horizontal and a NEG segment vertical, so a
+    pair meets iff NEG's p lies in POS's p-span and POS's q in NEG's q-span
+    (the closed box), and crosses properly iff both hold strictly; each is
+    a difference of ``_dominance`` terms over ranks. Returns the strict
+    meets as an 8 x 8 grid indexed [class of POS, class of NEG], and the
+    number of meets that are neither strict nor a shared endpoint, which
+    is an endpoint on the other's interior.
+    """
+    pos, neg = t.groups[_POS], t.groups[_NEG]
+    (p_lo, p_hi), (q, _) = pos.spans[2:]
+    (p, _), (q_lo, q_hi) = neg.spans[2:]
+    n_pos, n_neg = len(q), len(p)
+    grid = np.zeros((8, 8), dtype=np.int64)
+    if n_pos == 0 or n_neg == 0:
+        return grid, 0
+    # Ranks keep every comparison exact and int64, whatever the dtype.
+    _, p_rank = np.unique(np.concatenate((p_lo, p_hi, p)), return_inverse=True)
+    q_values, q_rank = np.unique(np.concatenate((q, q_lo, q_hi)), return_inverse=True)
+    p_lo, p_hi, p = np.split(p_rank.reshape(-1), [n_pos, 2 * n_pos])
+    q, q_lo, q_hi = np.split(q_rank.reshape(-1), [n_pos, n_pos + n_neg])
+    top = len(q_values)
+    pos_classes, column = np.unique(t.classes[pos.idx], return_inverse=True)
+    w = np.eye(len(pos_classes), dtype=np.int64)[column.reshape(-1)]
+    # Terms: strict +, strict -, closed +, closed -, as p-bounds x, q-bounds y.
+    y = np.concatenate((q_hi, q_lo + 1, q_hi + 1, q_lo))
+    shape = (4, n_neg, len(pos_classes))
+    lo = _dominance(p_lo, q, w, np.concatenate((p, p, p + 1, p + 1)), y, top)
+    hi = _dominance(p_hi, q, w, np.concatenate((p + 1, p + 1, p, p)), y, top)
+    terms = lo.reshape(shape) - hi.reshape(shape)
+    strict, closed = terms[0] - terms[1], terms[2] - terms[3]
+    np.add.at(grid, (pos_classes[None, :], t.classes[neg.idx][:, None]), strict)
+    # A corner meet shares one endpoint: an equality join on (p, q).
+    ends = np.sort(np.concatenate((p * top + q_lo, p * top + q_hi)))
+    keys = np.concatenate((p_lo * top + q, p_hi * top + q))
+    corners = np.searchsorted(ends, keys, "right") - np.searchsorted(ends, keys, "left")
+    return grid, int(closed.sum()) - int(strict.sum()) - int(corners.sum())
+
+
+def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield (i, j, p, q, clean, rest) chunks of POS segments i against NEG
+    segments j whose (p, q) boxes meet.
 
     A POS segment keeps q fixed over its p-span and a NEG segment keeps p
-    fixed over its q-span. The sweep passed only pairs whose spans overlap
-    on p and q, so every pair meets (the closed box); a pair crosses
-    properly iff the box holds strictly, at x = (p*l^3 + q)/(l^6 + 1),
-    y = (p - q*l^3)/(l^6 + 1), and the two directions are perpendicular.
-    A pair meeting at a corner of the box shares an endpoint, which is legal.
+    fixed over its q-span, so each pair meets at (p, q). ``clean`` marks
+    the pairs that cross strictly inside both at an allowed class pair:
+    a right-angle crossing at x = (p*l^3 + q)/(l^6 + 1),
+    y = (p - q*l^3)/(l^6 + 1). ``rest`` marks those that are neither clean
+    nor a shared endpoint; the exact scalar classifier reports them.
     """
-    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2], t.spans[3]
-    p, q = p_lo[j], q_lo[i]
-    p_end = (p == p_lo[i]) | (p == p_hi[i])
-    q_end = (q == q_lo[j]) | (q == q_hi[j])
-    clean = ~p_end & ~q_end
-    clean &= _ALLOWED_CODES[t.classes[i] * 8 + t.classes[j]]
-    rest = ~clean & ~(p_end & q_end)
-    _finish_pairs(t, i[rest], j[rest], rows, defects)
-    keep = np.nonzero(clean)[0]
-    if len(keep) == 0:
-        return
-    i, j, p, q = i[keep], j[keep], p[keep], q[keep]
-    l3 = t.l3
-    # The denominator and the right angle are the same for every such pair.
-    den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=t.dtype), len(keep))
-    perp = np.broadcast_to(True, len(keep))
-    for chunks, col in zip(col_chunks, (i, j, p * l3 + q, p - q * l3, den, perp)):
-        chunks.append(col)
+    pos, neg = t.groups[_POS], t.groups[_NEG]
+    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2:]
+    for ia, ib in _span_pairs(pos, neg):
+        i, j = pos.idx[ia], neg.idx[ib]
+        p, q = p_lo[j], q_lo[i]
+        p_end = (p == p_lo[i]) | (p == p_hi[i])
+        q_end = (q == q_lo[j]) | (q == q_hi[j])
+        clean = ~p_end & ~q_end & _ALLOWED[t.classes[i], t.classes[j]]
+        yield i, j, p, q, clean, ~clean & ~(p_end & q_end)
+
+
+# ---------------------------------------------------------------------------
+# Vector confirmation
+# ---------------------------------------------------------------------------
 
 
 def _confirm_general(t: _Table, i, j, rows, defects) -> None:
@@ -510,12 +587,18 @@ def _confirm_general(t: _Table, i, j, rows, defects) -> None:
     _finish_pairs(t, i[hit], j[hit], rows, defects)
 
 
-def _run_filtered(t: _Table, rows: list, col_chunks: list, defects: list) -> None:
-    for fa, fb, ia, jb in _family_pair_candidates(t):
-        if (fa, fb) == (_POS, _NEG):
-            _confirm_rotated(t, ia, jb, rows, col_chunks, defects)
-        else:
-            _confirm_general(t, ia, jb, rows, defects)
+def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
+    """Sweep every family pair but POS x NEG, count POS x NEG, and return
+    the counted crossings per class pair. The POS x NEG pairs are
+    enumerated, for the scalar classifier to report, only when a count
+    that must be zero is not."""
+    for _, _, ia, jb in _family_pair_candidates(t, _SWEPT_PAIRS):
+        _confirm_general(t, ia, jb, rows, defects)
+    strict, surplus = _count_pos_neg(t)
+    if surplus or strict[~_ALLOWED].any():
+        for i, j, _, _, _, rest in _pos_neg_pairs(t):
+            _finish_pairs(t, i[rest], j[rest], rows, defects)
+    return np.where(_ALLOWED, strict, 0)
 
 
 def _run_brute(t: _Table, rows: list, defects: list) -> None:
@@ -527,24 +610,44 @@ def _run_brute(t: _Table, rows: list, defects: list) -> None:
             finish(t, i, act[b_pos], rows, defects)
 
 
-def _assemble_columns(rows: list, col_chunks: list) -> tuple:
-    """Unsorted crossing columns from vector chunks and scalar rows.
+def _pair_counts(counted: np.ndarray, rows: list) -> dict[str, int]:
+    """Crossings per class pair, keyed "SaxSb" with a <= b: the ``counted``
+    grid, indexed [class_a, class_b], plus the scalar ``rows``."""
+    grid = counted.copy()
+    for i, j, *_ in rows:
+        grid[i % 7 + 1, j % 7 + 1] += 1
+    grid = np.triu(grid) + np.tril(grid, -1).T
+    return {f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))}
 
+
+def _crossing_columns(t: _Table | None, rows: list) -> tuple:
+    """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
+    y_num, den, perp).
+
+    With a table, the clean POS x NEG crossings are enumerated and located
+    in (p, q); ``rows`` adds each crossing the scalar classifier recorded.
     Integer columns are int64, or object where a value exceeds int64.
     """
+    col_chunks: list = [[] for _ in range(6)]
+    if t is not None:
+        l3 = t.l3
+        for i, j, p, q, clean, _ in _pos_neg_pairs(t):
+            keep = np.nonzero(clean)[0]
+            i, j, p, q = i[keep], j[keep], p[keep], q[keep]
+            # The denominator and the right angle are the same for every pair.
+            den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=t.dtype), len(keep))
+            perp = np.broadcast_to(True, len(keep))
+            for chunks, col in zip(col_chunks, (i, j, p * l3 + q, p - q * l3, den, perp)):
+                chunks.append(col)
     if rows:
         by_col = list(zip(*rows))
         for k in range(5):
             col_chunks[k].append(int_column(by_col[k]))
         col_chunks[5].append(np.array(by_col[5], dtype=bool))
-    cols = []
-    for k, chunks in enumerate(col_chunks):
-        if chunks:
-            cols.append(np.concatenate(chunks))
-            chunks.clear()
-        else:
-            cols.append(np.zeros(0, dtype=bool if k == 5 else np.int64))
-    return tuple(cols)
+    return tuple(
+        np.concatenate(chunks) if chunks else np.zeros(0, dtype=bool if k == 5 else np.int64)
+        for k, chunks in enumerate(col_chunks)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +668,32 @@ def bounding_box(d: Drawing) -> tuple[int, int, int, int]:
 def validate(
     d: Drawing, mode: ValidationMode = ValidationMode.FILTERED
 ) -> CrossingReport:
-    """Certify ``d``: enumerate crossings, flag every defect, measure extent.
+    """Certify ``d``: count crossings, flag every defect, measure extent.
 
     The report is empty of violations iff the drawing is a right-angle
     crossing drawing with the expected crossing structure. Defects are data,
-    not errors.
+    not errors. The crossings themselves are listed only when the report is
+    asked for them.
     """
     t = _Table(d)
     rows: list = []
-    col_chunks: list = [[] for _ in range(6)]
     defects: list[Defect] = []
     _scan_zero_length(t, defects)
     _scan_coincident_points(d, defects)
-    _scan_vertex_piercings(t, defects)
+    _scan_vertex_piercings(t, d, defects)
     if mode is ValidationMode.BRUTE_FORCE:
         _run_brute(t, rows, defects)
+        counted, rotated = np.zeros((8, 8), dtype=np.int64), None
     else:
-        _run_filtered(t, rows, col_chunks, defects)
+        counted, rotated = _run_filtered(t, rows, defects), t
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
         m=d.m,
         violations=tuple(defects),
         bbox=bounding_box(d),
-        crossing_columns=_assemble_columns(rows, col_chunks),
+        pair_counts=_pair_counts(counted, rows),
+        crossings=partial(_crossing_columns, rotated, rows),
     )
 
 
@@ -602,7 +707,7 @@ class StatsReport:
     width: int
     height: int
     area: int
-    area_ratio: float
+    area_ratio: str
     crossing_count: int
     pair_counts: dict[str, int]
     violation_count: int
@@ -629,13 +734,21 @@ class StatsReport:
             f"width            {self.width}",
             f"height           {self.height}",
             f"area             {self.area}",
-            f"area / n^2.75    {self.area_ratio:.4f}",
+            f"area / n^2.75    {self.area_ratio}",
             f"crossings        {self.crossing_count}",
         ]
         for key in sorted(self.pair_counts):
             lines.append(f"  {key}          {self.pair_counts[key]}")
         lines.append(f"violations       {self.violation_count}")
         return "\n".join(lines)
+
+
+def _area_ratio(area: int, n: int) -> str:
+    """area / n^2.75 as a decimal with four places, rounded half up, from
+    integers alone: floor(10^5 * ratio) is the integer fourth root of
+    floor(area^4 * 10^20 / n^11)."""
+    scaled = (math.isqrt(math.isqrt(area**4 * 10**20 // n**11)) + 5) // 10
+    return f"{scaled // 10**4}.{scaled % 10**4:04d}"
 
 
 def stats(d: Drawing, report: CrossingReport | None = None) -> StatsReport:
@@ -651,7 +764,7 @@ def stats(d: Drawing, report: CrossingReport | None = None) -> StatsReport:
         width=width,
         height=height,
         area=width * height,
-        area_ratio=float(width * height) / math.pow(float(d.n), 2.75),
+        area_ratio=_area_ratio(width * height, d.n),
         crossing_count=report.crossing_count,
         pair_counts=dict(report.pair_counts),
         violation_count=len(report.violations),

@@ -77,8 +77,8 @@ def _scan_extent(drawing):
 def test_criterion_1_rac_certification(k16_filtered, k16_brute, k81_filtered):
     with criterion("C1 RAC certification (n=16, 81)"):
         for report, elapsed in (k16_filtered, k81_filtered):
+            # A crossing that is not a right angle is a violation.
             assert report.violations == ()
-            assert report.all_perpendicular()
             for key in report.pair_counts:
                 assert tuple(key.split("x")) in ALLOWED
             assert elapsed < 10.0, f"filtered validation took {elapsed:.1f}s"
@@ -91,6 +91,7 @@ def test_criterion_1_rac_certification(k16_filtered, k16_brute, k81_filtered):
         assert rep16.pair_counts == K16_PAIR_COUNTS
         assert rep81.crossing_count == K81_CROSSINGS
         assert rep81.pair_counts == K81_PAIR_COUNTS
+        assert all(rep16.listing()[7])
         # Spot-check exactness: a hand-computed crossing with its rational
         # coordinates and zero dot product.
         hand = [
@@ -165,10 +166,10 @@ def test_criterion_6_oracle_equivalence(k16, k16_filtered, k16_brute):
             from racdraw import draw_graph
 
             d = draw_graph(g)
-            assert (
-                validate(d, BRUTE).to_json_bytes()
-                == validate(d, FILTERED).to_json_bytes()
-            )
+            brute, filtered = validate(d, BRUTE), validate(d, FILTERED)
+            assert filtered.crossing_count == brute.crossing_count
+            assert filtered.pair_counts == brute.pair_counts
+            assert brute.to_json_bytes() == filtered.to_json_bytes()
 
 
 def test_criterion_7_mutation_sensitivity(k16):

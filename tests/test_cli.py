@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -93,10 +94,12 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", [["stats"], ["svg", "--out", "-"]])
     def test_coordinates_beyond_float_range(self, tmp_path, capsys, command):
-        # Exact ints far past float range load and certify; the area ratio
-        # and the SVG viewport need floats and cannot be computed.
+        # Exact ints far past float range load and certify, and stats works
+        # from integers alone; only the SVG viewport needs floats.
         small = tmp_path / "k5.json"
         assert main(["draw", "--n", "5", "--complete", "--out", str(small)]) == 0
+        assert main(["stats", str(small), "--json"]) == 0
+        small_area = int(json.loads(capsys.readouterr().out)["area"])
         doc = json.loads(small.read_text())
         big = 10**400
         for vertex in doc["vertices"]:
@@ -105,9 +108,15 @@ class TestValidate:
             edge["bends"] = [[str(int(x) * big), y] for x, y in edge["bends"]]
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main([command[0], str(huge), *command[1:]]) == 2
-        assert "too large" in capsys.readouterr().err
+        status = main([command[0], str(huge), *command[1:]])
+        captured = capsys.readouterr()
+        if command == ["stats"]:
+            assert status == 0
+            assert f"area             {small_area * big}\n" in captured.out
+            assert re.search(r"^area / n\^2\.75    [0-9]{390,}\.[0-9]{4}$", captured.out, re.M)
+        else:
+            assert status == 2
+            assert "too large" in captured.err
 
 
 class TestStats:
@@ -121,6 +130,7 @@ class TestStats:
         assert main(["stats", str(k16_file), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["area"] == "47882"
+        assert doc["area_ratio"] == "23.3799"
         assert doc["crossing_count"] == 7760
 
 

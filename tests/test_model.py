@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,46 +10,21 @@ from racdraw import (
     draw_complete,
     draw_graph,
     params_from_n,
-    perpendicular,
     vertex_slot,
 )
 from racdraw.io import document_to_drawing, drawing_to_document
+from racdraw.model import _ratio_strings
 
 
-class TestPerpendicular:
-    def test_construction_direction_pair(self):
-        # S2 and S3 directions of the 16-vertex drawing's first cross-level
-        # edge; 72*15 + 9*(-120) = 1080 - 1080 = 0.
-        assert perpendicular((72, 9), (15, -120)) is True
-
-    def test_axis_aligned(self):
-        assert perpendicular((1, 0), (0, 5)) is True
-
-    def test_non_perpendicular(self):
-        assert perpendicular((1, 1), (1, 2)) is False
-
-    @pytest.mark.parametrize("bad", [((0, 0), (1, 2)), ((3, 4), (0, 0))])
-    def test_zero_vector_rejected(self, bad):
-        with pytest.raises(ValueError, match="degenerate direction"):
-            perpendicular(*bad)
-
-
-def _slope_oracle_perpendicular(u, v) -> bool:
-    # Independent check via rational slopes: vertical pairs with horizontal,
-    # otherwise the product of slopes must be exactly -1.
-    if u[0] == 0:
-        return v[1] == 0
-    if v[0] == 0:
-        return u[1] == 0
-    return Fraction(u[1], u[0]) * Fraction(v[1], v[0]) == -1
-
-
-def test_perpendicular_matches_slope_oracle_exhaustively():
-    rng = range(-5, 6)
-    vectors = [(x, y) for x in rng for y in rng if (x, y) != (0, 0)]
-    for u in vectors:
-        for v in vectors:
-            assert perpendicular(u, v) == _slope_oracle_perpendicular(u, v)
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_ratio_strings_match_fraction(dtype):
+    # The report writes each coordinate as str(Fraction(num, den)); int64
+    # columns take a vector gcd, object columns a gcd per value.
+    rng = random.Random(5)
+    num = [rng.randint(-(10**6), 10**6) for _ in range(300)] + [0, 65, -65, 130]
+    den = [rng.choice([1, 2, 65, 4097, rng.randint(1, 10**6)]) for _ in num]
+    got = _ratio_strings(np.array(num, dtype=dtype), np.array(den, dtype=dtype))
+    assert got == [str(Fraction(a, b)) for a, b in zip(num, den)]
 
 
 class TestGridParams:

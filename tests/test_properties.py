@@ -14,7 +14,6 @@ from racdraw import (
     loads_drawing,
     params_from_n,
     parse_edge_list,
-    perpendicular,
     segment_pair,
     serialize_edge_list,
     validate,
@@ -91,14 +90,6 @@ def nonzero_segment(draw):
 @settings(max_examples=800, deadline=None)
 def test_segment_pair_matches_fraction_oracle(s1, s2):
     assert pair_payload(segment_pair(s1, s2)) == oracle_classify(s1, s2)
-
-
-@given(st.tuples(coords, coords), st.tuples(coords, coords))
-@settings(max_examples=300)
-def test_perpendicular_is_exactly_zero_dot(u, v):
-    if u == (0, 0) or v == (0, 0):
-        return
-    assert perpendicular(u, v) == (u[0] * v[0] + u[1] * v[1] == 0)
 
 
 @given(st.integers(min_value=1, max_value=700))

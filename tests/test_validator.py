@@ -1,5 +1,6 @@
 import hashlib
 import random
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -117,6 +118,16 @@ def _move_vertex(drawing, v, new_point):
     return Drawing(vertices, drawing.endpoints, drawing.bends)
 
 
+def _modes_agree(d):
+    """Validate ``d`` in both modes and require the same counts, read before
+    any listing, and the same report bytes; returns the filtered report."""
+    filtered, brute = validate(d, FILTERED), validate(d, BRUTE)
+    assert filtered.crossing_count == brute.crossing_count
+    assert filtered.pair_counts == brute.pair_counts
+    assert filtered.to_json_bytes() == brute.to_json_bytes()
+    return filtered
+
+
 class TestValidate:
     def test_two_vertex_drawing_clean(self):
         report = validate(draw_complete(2), BRUTE)
@@ -130,7 +141,8 @@ class TestValidate:
         assert filtered.crossing_count == K16_CROSSINGS
         assert filtered.pair_counts == K16_PAIR_COUNTS
         assert brute.crossing_count == K16_CROSSINGS
-        assert filtered.all_perpendicular()
+        assert brute.pair_counts == K16_PAIR_COUNTS
+        assert all(filtered.listing()[7])
         assert filtered.to_json_bytes() == brute.to_json_bytes()
 
     def test_k16_contains_hand_checked_crossing(self, k16_filtered):
@@ -169,10 +181,7 @@ class TestValidate:
     def test_corrupted_modes_agree(self, k16):
         b = _bend(k16, 3, 1)
         bad = _replace_bend(k16, 3, 1, (b[0] + 1, b[1]))
-        rf = validate(bad, FILTERED)
-        rb = validate(bad, BRUTE)
-        assert rf.to_json_bytes() == rb.to_json_bytes()
-        assert rf.violations
+        assert _modes_agree(bad).violations
 
     def test_k16_report_digest_is_pinned(self, k16_filtered, k16_brute):
         # SHA-256 of the canonical rac-report/1 bytes.
@@ -194,47 +203,42 @@ class TestValidate:
 class TestDefectKinds:
     def test_zero_length_and_coincident(self, k16):
         bad = _replace_bend(k16, 0, 3, _bend(k16, 0, 4))  # d == e
-        report = validate(bad, FILTERED)
+        report = _modes_agree(bad)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.ZERO_LENGTH_SEGMENT in kinds
         assert DefectKind.COINCIDENT_POINTS in kinds
-        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_duplicated_polyline_reports_overlaps(self, k16):
         two = Drawing(k16.vertices, k16.endpoints[[0, 0]], k16.bends[[0, 0]])
-        report = validate(two, FILTERED)
+        report = _modes_agree(two)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.COLLINEAR_OVERLAP in kinds
         assert DefectKind.COINCIDENT_POINTS in kinds
-        assert validate(two, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_endpoint_touch_flagged(self, k16):
         # Drop edge 54's first bend onto an interior lattice point of edge
         # 3's falling segment (80,10)-(95,-110); its endpoints then touch.
         bad = _replace_bend(k16, 54, 0, (81, 2))
-        report = validate(bad, FILTERED)
+        report = _modes_agree(bad)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.ENDPOINT_TOUCHES_INTERIOR in kinds
-        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_segment_through_vertex_flagged(self, k16):
         # Route edge 3 so its vertical segment passes through vertex 4's
         # point (12,-67): move bends e/f to x=12 around the vertex.
         bad = _replace_bend(k16, 3, 4, (12, -95))
         bad = _replace_bend(bad, 3, 5, (12, -50))
-        report = validate(bad, FILTERED)
+        report = _modes_agree(bad)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.SEGMENT_THROUGH_VERTEX in kinds
-        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_disallowed_class_pair_flagged(self, k16):
         # Stretch edge 0's first segment far upward so it crosses rising
         # segments of its own level: an S1 crossing is never allowed.
         bad = _replace_bend(k16, 0, 0, (40, 9))
-        report = validate(bad, FILTERED)
+        report = _modes_agree(bad)
         kinds = {d.kind for d in report.violations}
         assert DefectKind.DISALLOWED_CLASS_PAIR in kinds
-        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
     def test_isolated_vertex_on_segment_detected(self):
         # A drawing whose only edge runs over a third, isolated vertex:
@@ -274,7 +278,8 @@ class TestStats:
         assert s.area == 47882
         assert s.crossing_count == K16_CROSSINGS
         assert s.violation_count == 0
-        assert s.area_ratio == pytest.approx(47882 / 16**2.75)
+        assert s.area_ratio == "23.3799"
+        assert float(s.area_ratio) == pytest.approx(47882 / 16**2.75, abs=5e-5)
 
     def test_two_vertices(self):
         d = draw_complete(2)
@@ -282,9 +287,28 @@ class TestStats:
         assert s.m == 1
         assert s.crossing_count == 0
 
+    def test_area_ratio_beyond_float_range(self):
+        # K5 with every x scaled by 10**400: the area has no float, and the
+        # ratio is still exact, rounded half up to four places.
+        small = draw_complete(5)
+        big = 10**400
+        vertices, bends = small.vertices.astype(object), small.bends.astype(object)
+        vertices[:, 0] *= big
+        bends[..., 0] *= big
+        s = stats(Drawing(vertices, small.endpoints, bends))
+        assert s.area == stats(small).area * big
+        with localcontext() as ctx:
+            ctx.prec = 1000
+            ratio = Decimal(s.area) / Decimal(5) ** Decimal("2.75")
+            want = ratio.quantize(Decimal("0.0001"), ROUND_HALF_UP)
+        assert s.area_ratio == str(want)
+        assert s.to_json_dict()["area_ratio"] == str(want)
+        assert f"area / n^2.75    {want}" in s.format_text()
+
 
 def _candidates(d):
-    """(kind, segment_i, segment_j) for every pair the filtered sweep visits.
+    """(kind, segment_i, segment_j) for every pair the sorted-span sweep
+    lists, POS x NEG included.
 
     Pairs within one exact slope family are "collinear" candidates, all
     others "crossing" candidates; segment s is class s % 7 + 1 of edge
@@ -330,6 +354,104 @@ class TestFilteredPairStream:
             assert i // 7 == j // 7 == 0
 
 
+class TestCountFirst:
+    # The filtered verdict counts POS x NEG crossings and enumerates those
+    # pairs only when a count shows a defect, or for a listing.
+
+    def test_k81_verdict_needs_no_enumeration(self, k81, monkeypatch):
+        def refuse(t):
+            raise AssertionError("POS x NEG pairs enumerated")
+
+        monkeypatch.setattr(validator, "_pos_neg_pairs", refuse)
+        report = validate(k81, FILTERED)
+        assert report.violations == ()
+        assert report.crossing_count == 5_261_870
+        assert report.pair_counts == {
+            "S2xS3": 3_588_780,
+            "S3xS4": 1_249_644,
+            "S4xS5": 423_446,
+        }
+
+    def _spy(self, monkeypatch):
+        calls = []
+        enumerate_pairs = validator._pos_neg_pairs
+
+        def spy(t):
+            calls.append(t)
+            return enumerate_pairs(t)
+
+        monkeypatch.setattr(validator, "_pos_neg_pairs", spy)
+        return calls
+
+    def test_touch_reported_through_fallback(self, k16, monkeypatch):
+        # A POS end on a NEG interior: the closed count exceeds the strict
+        # and corner counts, so the pairs are enumerated.
+        calls = self._spy(monkeypatch)
+        bad = _replace_bend(k16, 54, 0, (-7, -9))
+        bad = _replace_bend(bad, 54, 1, (81, 2))
+        report = validate(bad, FILTERED)
+        assert len(calls) == 1
+        assert ("segment:3:S3", "segment:54:S2") in {
+            d.participants
+            for d in report.violations
+            if d.kind is DefectKind.ENDPOINT_TOUCHES_INTERIOR
+        }
+        assert report.crossing_count == validate(bad, BRUTE).crossing_count
+
+    def test_disallowed_strict_crossing_reported_through_fallback(self, monkeypatch):
+        # n = 4, so l^3 = 8: S1 of edge 0 runs along (8, 1) and S3 of edge 1
+        # along (1, -8); they cross strictly at (8, 1), a disallowed pair.
+        d = Drawing(
+            [(0, 0), (60, -30), (100, 100), (200, 40)],
+            [(0, 1), (2, 3)],
+            [
+                [(16, 2), (20, -40), (30, -41), (40, -42), (50, -43), (55, -44)],
+                [(50, 50), (7, 9), (9, -7), (120, -50), (150, -20), (180, 10)],
+            ],
+        )
+        calls = self._spy(monkeypatch)
+        report = _modes_agree(d)
+        assert calls
+        assert report.pair_counts["S1xS3"] == 1
+        assert any(
+            d.kind is DefectKind.DISALLOWED_CLASS_PAIR
+            and d.participants == ("segment:0:S1", "segment:1:S3")
+            and d.location == ("8,1",)
+            for d in report.violations
+        )
+
+    def test_listing_checks_the_count(self, k16, monkeypatch):
+        report = validate(k16, FILTERED)
+        monkeypatch.setattr(validator, "_pos_neg_pairs", lambda t: iter(()))
+        with pytest.raises(RuntimeError, match="listed 0 crossings, counted 7760"):
+            report.listing()
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    @pytest.mark.parametrize("name", ["clean", "pos-end", "neg-end"])
+    def test_counts_match_scalar_classifier(self, k16, name, rotate):
+        # K16 has shared endpoints between consecutive segments; the two
+        # touches, turned by 180 degrees or not, put an endpoint on an
+        # interior at each of the four sides of the (p, q) box.
+        d = k16
+        if name != "clean":
+            for edge, index, point in TestMagnitudeRegimes.CORRUPTIONS[name][1]:
+                d = _replace_bend(d, edge, index, point)
+        d = _transform(d, rotate=rotate)
+        t = _Table(d)
+        strict, surplus = validator._count_pos_neg(t)
+        segments = [(*a, *b) for pts in d.polylines().tolist() for a, b in zip(pts, pts[1:])]
+        want, touches = np.zeros((8, 8), dtype=np.int64), 0
+        for i in t.groups[validator._POS].idx.tolist():
+            for j in t.groups[validator._NEG].idx.tolist():
+                res = segment_pair(segments[i], segments[j])
+                if res is not None and res[0] == "proper":
+                    want[i % 7 + 1, j % 7 + 1] += 1
+                touches += res is not None and res[0] == "touch"
+        assert np.array_equal(strict, want)
+        assert surplus == touches
+        assert (touches > 0) == (name != "clean")
+
+
 def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
     """``d`` moved rigidly: x mirrored or the plane turned by 180 degrees,
     then translated by (dx, dy); optionally with the edge order reversed."""
@@ -362,11 +484,25 @@ class TestMagnitudeRegimes:
     def test_modes_agree_on_moved_k16(self, k16, bits, variant):
         d = _transform(k16, 1 << bits, -(1 << bits), **self.VARIANTS[variant])
         assert _Table(d).dtype is self.OFFSETS[bits]
-        filtered = validate(d, FILTERED)
-        assert filtered.to_json_bytes() == validate(d, BRUTE).to_json_bytes()
+        filtered = _modes_agree(d)
         assert filtered.violations == ()
         assert filtered.crossing_count == K16_CROSSINGS
         assert filtered.pair_counts == K16_PAIR_COUNTS
+
+    def test_modes_agree_on_sparse_drawing_at_l10(self):
+        # A naturally large drawing: 120 random edges on 6,562 vertices
+        # (l = 10) put coordinates past 2**20 while int64 stays exact.
+        rng = random.Random(9)
+        edges = set()
+        while len(edges) < 120:
+            edges.add(tuple(sorted(rng.sample(range(6562), 2))))
+        d = draw_graph(GraphInput(6562, tuple(sorted(edges))))
+        assert d.l == 10
+        assert _Table(d).dtype is np.int64
+        assert int(abs(d.bends).max()) > 1 << 20
+        report = _modes_agree(d)
+        assert report.violations == ()
+        assert report.crossing_count > 1000
 
     # Corruptions as (defects expected, each a kind with its participants
     # or None, moved bends). The touches keep both segments in their exact
@@ -402,11 +538,10 @@ class TestMagnitudeRegimes:
         for edge, index, point in moves:
             bad = _replace_bend(bad, edge, index, point)
         bad = _transform(bad, 1 << bits, 1 << bits)
-        report = validate(bad, FILTERED)
+        report = _modes_agree(bad)
         for kind, participants in expected:
             flagged = {d.participants for d in report.violations if d.kind is kind}
             assert flagged if participants is None else participants in flagged
-        assert validate(bad, BRUTE).to_json_bytes() == report.to_json_bytes()
 
 
 def _reference_piercings(d):
