@@ -161,10 +161,8 @@ def _format_ratio(num: int, den: int) -> str:
 
 
 def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
-    """``_format_ratio`` over two columns: int64 columns are reduced by one
-    vector gcd, object columns value by value."""
-    if num.dtype == object or den.dtype == object:
-        return [_format_ratio(a, b) for a, b in zip(num.tolist(), den.tolist())]
+    """``_format_ratio`` over two columns (int64, object or mixed), with one
+    vector gcd."""
     g = np.gcd(num, den)
     return [
         str(a) if b == 1 else f"{a}/{b}"

@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -233,8 +233,23 @@ class _Table:
         )
         self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
 
+    def pos_neg(self) -> _PosNeg:
+        return _PosNeg(self.groups[: _NEG + 1], self.spans[2:], self.classes, self.l3)
+
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
+
+
+class _PosNeg(NamedTuple):
+    """What counting and listing the POS x NEG crossings reads of a table:
+    ``groups`` indexed by family up to NEG, every segment's (lo, hi) spans
+    on p and q, and the classes. A filtered report's listing keeps only
+    this alive."""
+
+    groups: list
+    spans: tuple
+    classes: np.ndarray
+    l3: int
 
 
 def _pair_labels(t: _Table, i: int, j: int) -> tuple[str, ...]:
@@ -450,12 +465,12 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
 
 
 def _family_pair_candidates(
-    t: _Table, pairs: tuple = _FAMILY_PAIRS
+    groups: list, pairs: tuple
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (fa, fb, i, j): segment index chunks from families fa and fb."""
     for fa, fb in pairs:
-        a = t.groups[fa]
-        b = None if fa == fb else t.groups[fb]
+        a = groups[fa]
+        b = None if fa == fb else groups[fb]
         for ia, ib in _span_pairs(a, b):
             yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
 
@@ -494,7 +509,7 @@ def _dominance(a, b, w, x, y, top: int) -> np.ndarray:
     return out
 
 
-def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
+def _count_pos_neg(t: _PosNeg) -> tuple[np.ndarray, int]:
     """Count the POS x NEG meets without listing them.
 
     In (p, q) a POS segment is horizontal and a NEG segment vertical, so a
@@ -535,7 +550,7 @@ def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     return grid, int(closed.sum()) - int(strict.sum()) - int(corners.sum())
 
 
-def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
+def _pos_neg_pairs(t: _PosNeg) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield (i, j, p, q, clean, rest) chunks of POS segments i against NEG
     segments j whose (p, q) boxes meet.
 
@@ -546,10 +561,8 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
     y = (p - q*l^3)/(l^6 + 1). ``rest`` marks those that are neither clean
     nor a shared endpoint; the exact scalar classifier reports them.
     """
-    pos, neg = t.groups[_POS], t.groups[_NEG]
-    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2:]
-    for ia, ib in _span_pairs(pos, neg):
-        i, j = pos.idx[ia], neg.idx[ib]
+    (p_lo, p_hi), (q_lo, q_hi) = t.spans
+    for _, _, i, j in _family_pair_candidates(t.groups, ((_POS, _NEG),)):
         p, q = p_lo[j], q_lo[i]
         p_end = (p == p_lo[i]) | (p == p_hi[i])
         q_end = (q == q_lo[j]) | (q == q_hi[j])
@@ -592,11 +605,12 @@ def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
     the counted crossings per class pair. The POS x NEG pairs are
     enumerated, for the scalar classifier to report, only when a count
     that must be zero is not."""
-    for _, _, ia, jb in _family_pair_candidates(t, _SWEPT_PAIRS):
+    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
         _confirm_general(t, ia, jb, rows, defects)
-    strict, surplus = _count_pos_neg(t)
+    pos_neg = t.pos_neg()
+    strict, surplus = _count_pos_neg(pos_neg)
     if surplus or strict[~_ALLOWED].any():
-        for i, j, _, _, _, rest in _pos_neg_pairs(t):
+        for i, j, _, _, _, rest in _pos_neg_pairs(pos_neg):
             _finish_pairs(t, i[rest], j[rest], rows, defects)
     return np.where(_ALLOWED, strict, 0)
 
@@ -620,22 +634,22 @@ def _pair_counts(counted: np.ndarray, rows: list) -> dict[str, int]:
     return {f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))}
 
 
-def _crossing_columns(t: _Table | None, rows: list) -> tuple:
+def _crossing_columns(pos_neg: _PosNeg | None, rows: list) -> tuple:
     """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
     y_num, den, perp).
 
-    With a table, the clean POS x NEG crossings are enumerated and located
+    With ``pos_neg``, the clean POS x NEG crossings are enumerated and located
     in (p, q); ``rows`` adds each crossing the scalar classifier recorded.
     Integer columns are int64, or object where a value exceeds int64.
     """
     col_chunks: list = [[] for _ in range(6)]
-    if t is not None:
-        l3 = t.l3
-        for i, j, p, q, clean, _ in _pos_neg_pairs(t):
+    if pos_neg is not None:
+        l3 = pos_neg.l3
+        for i, j, p, q, clean, _ in _pos_neg_pairs(pos_neg):
             keep = np.nonzero(clean)[0]
             i, j, p, q = i[keep], j[keep], p[keep], q[keep]
             # The denominator and the right angle are the same for every pair.
-            den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=t.dtype), len(keep))
+            den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=p.dtype), len(keep))
             perp = np.broadcast_to(True, len(keep))
             for chunks, col in zip(col_chunks, (i, j, p * l3 + q, p - q * l3, den, perp)):
                 chunks.append(col)
@@ -683,9 +697,9 @@ def validate(
     _scan_vertex_piercings(t, d, defects)
     if mode is ValidationMode.BRUTE_FORCE:
         _run_brute(t, rows, defects)
-        counted, rotated = np.zeros((8, 8), dtype=np.int64), None
+        counted, pos_neg = np.zeros((8, 8), dtype=np.int64), None
     else:
-        counted, rotated = _run_filtered(t, rows, defects), t
+        counted, pos_neg = _run_filtered(t, rows, defects), t.pos_neg()
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
@@ -693,7 +707,7 @@ def validate(
         violations=tuple(defects),
         bbox=bounding_box(d),
         pair_counts=_pair_counts(counted, rows),
-        crossings=partial(_crossing_columns, rotated, rows),
+        crossings=partial(_crossing_columns, pos_neg, rows),
     )
 
 

@@ -18,13 +18,15 @@ from racdraw.model import _ratio_strings
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_ratio_strings_match_fraction(dtype):
-    # The report writes each coordinate as str(Fraction(num, den)); int64
-    # columns take a vector gcd, object columns a gcd per value.
+    # The report writes each coordinate as str(Fraction(num, den)), whether
+    # the columns are int64, object or one of each.
     rng = random.Random(5)
     num = [rng.randint(-(10**6), 10**6) for _ in range(300)] + [0, 65, -65, 130]
     den = [rng.choice([1, 2, 65, 4097, rng.randint(1, 10**6)]) for _ in num]
-    got = _ratio_strings(np.array(num, dtype=dtype), np.array(den, dtype=dtype))
-    assert got == [str(Fraction(a, b)) for a, b in zip(num, den)]
+    want = [str(Fraction(a, b)) for a, b in zip(num, den)]
+    for den_dtype in (dtype, np.int64):
+        got = _ratio_strings(np.array(num, dtype=dtype), np.array(den, dtype=den_dtype))
+        assert got == want
 
 
 class TestGridParams:

@@ -315,7 +315,9 @@ def _candidates(d):
     s // 7.
     """
     out = []
-    for fa, fb, ia, jb in validator._family_pair_candidates(_Table(d)):
+    for fa, fb, ia, jb in validator._family_pair_candidates(
+        _Table(d).groups, validator._FAMILY_PAIRS
+    ):
         kind = "collinear" if fa == fb != validator._VAR else "crossing"
         out.extend((kind, i, j) for i, j in zip(ia.tolist(), jb.tolist()))
     return out
@@ -438,7 +440,7 @@ class TestCountFirst:
                 d = _replace_bend(d, edge, index, point)
         d = _transform(d, rotate=rotate)
         t = _Table(d)
-        strict, surplus = validator._count_pos_neg(t)
+        strict, surplus = validator._count_pos_neg(t.pos_neg())
         segments = [(*a, *b) for pts in d.polylines().tolist() for a, b in zip(pts, pts[1:])]
         want, touches = np.zeros((8, 8), dtype=np.int64), 0
         for i in t.groups[validator._POS].idx.tolist():
