@@ -35,9 +35,10 @@ a disallowed class pair. When either is not, the POS x NEG pairs are
 enumerated and each offending pair is reported exactly. Every other
 family pair is swept: the sweep counts, per family pair, the closed-span
 overlaps on each of x, y, p and q by binary search and expands only the
-cheapest projection, in chunks of bounded size. Both modes find segments
-through vertices with the same sweep, vertices taking part as zero-length
-spans.
+cheapest projection, in chunks of bounded size that the other three
+filter one at a time, fewest overlaps first. The POS x NEG count runs on
+one helper thread beside the sweep. Both modes find segments through
+vertices with the same sweep, vertices taking part as zero-length spans.
 
 Every vector expression runs on one dtype chosen per drawing: int64 while
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
@@ -48,6 +49,7 @@ arrays of Python ints beyond it, through the same code.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -268,21 +270,22 @@ def _scan_zero_length(t: _Table, defects: list[Defect]) -> None:
 
 
 def _scan_coincident_points(d: Drawing, defects: list[Defect]) -> None:
-    tagged: dict[tuple[int, int], list[str]] = {}
-    for v, (x, y) in enumerate(d.vertices.tolist()):
-        tagged.setdefault((x, y), []).append(f"vertex:{v}")
-    for e_idx, bends in enumerate(d.bends.tolist()):
-        for name, (x, y) in zip(BEND_NAMES, bends):
-            tagged.setdefault((x, y), []).append(f"bend:{e_idx}:{name}")
-    for (x, y), tags in tagged.items():
-        if len(tags) >= 2:
-            defects.append(
-                Defect(
-                    DefectKind.COINCIDENT_POINTS,
-                    tuple(sorted(tags)),
-                    (format_point(x, y),),
-                )
-            )
+    """Flag every point shared by two or more vertices and bends: one
+    lexsort brings equal points together, and only their runs get tags."""
+    points = np.concatenate((d.vertices, d.bends.reshape(-1, 2)))
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    ranked = points[order]
+    runs: dict[tuple[int, int], set[int]] = {}
+    for r in np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1)).tolist():
+        runs.setdefault(tuple(ranked[r].tolist()), set()).update(order[r : r + 2].tolist())
+    for (x, y), members in runs.items():
+        tags = (
+            f"vertex:{k}" if k < d.n else f"bend:{(k - d.n) // 6}:{BEND_NAMES[(k - d.n) % 6]}"
+            for k in members
+        )
+        defects.append(
+            Defect(DefectKind.COINCIDENT_POINTS, tuple(sorted(tags)), (format_point(x, y),))
+        )
 
 
 def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None:
@@ -441,27 +444,29 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
     """Yield (ia, ib) member chunks whose closed spans overlap on x, y, p, q.
 
     Overlaps are counted exactly on all four projections; only the one with
-    the fewest is expanded, and the other three filter its chunks. With
-    ``b`` None, pairs within ``a`` are listed.
+    the fewest is expanded. The other three filter each chunk one at a
+    time, fewest overlaps first, and the chunk shrinks after each, so a
+    chunk the first filter empties costs no more. With ``b`` None, pairs
+    within ``a`` are listed.
     """
     ranges = [_overlap_ranges(a, b, k) for k in range(4)]
     counts = [sum(int((r[2] - r[1]).sum()) for r in sets) for sets in ranges]
-    best = counts.index(min(counts))
+    best, *filters = sorted(range(4), key=counts.__getitem__)
     if counts[best] == 0:
         return
     other = a if b is None else b
     for owners, start, stop, others, flip in ranges[best]:
         for own, oth in _expand(owners, start, stop, others):
             ia, ib = (oth, own) if flip else (own, oth)
-            keep = np.ones(len(ia), dtype=bool)
-            for k in range(4):
-                if k != best:
-                    lo_a, hi_a = a.spans[k]
-                    lo_b, hi_b = other.spans[k]
-                    keep &= (lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])
-            sel = np.nonzero(keep)[0]
-            if len(sel):
-                yield ia[sel], ib[sel]
+            for k in filters:
+                lo_a, hi_a = a.spans[k]
+                lo_b, hi_b = other.spans[k]
+                keep = np.flatnonzero((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia]))
+                ia, ib = ia[keep], ib[keep]
+                if not len(keep):
+                    break
+            else:
+                yield ia, ib
 
 
 def _family_pair_candidates(
@@ -604,11 +609,30 @@ def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
     """Sweep every family pair but POS x NEG, count POS x NEG, and return
     the counted crossings per class pair. The POS x NEG pairs are
     enumerated, for the scalar classifier to report, only when a count
-    that must be zero is not."""
-    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
-        _confirm_general(t, ia, jb, rows, defects)
+    that must be zero is not.
+
+    The count reads only the table's arrays, and its sorts and searches
+    release the GIL, so it runs on one helper thread beside the sweep.
+    """
     pos_neg = t.pos_neg()
-    strict, surplus = _count_pos_neg(pos_neg)
+    slot: list = []
+
+    def count() -> None:
+        try:
+            slot.append(_count_pos_neg(pos_neg))
+        except BaseException as exc:  # re-raised below, on the calling thread
+            slot.append(exc)
+
+    helper = threading.Thread(target=count)
+    helper.start()
+    try:
+        for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
+            _confirm_general(t, ia, jb, rows, defects)
+    finally:
+        helper.join()
+    if isinstance(slot[0], BaseException):
+        raise slot[0]
+    strict, surplus = slot[0]
     if surplus or strict[~_ALLOWED].any():
         for i, j, _, _, _, rest in _pos_neg_pairs(pos_neg):
             _finish_pairs(t, i[rest], j[rest], rows, defects)

@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+import threading
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -306,6 +308,32 @@ class TestStats:
         assert f"area / n^2.75    {want}" in s.format_text()
 
 
+def _witness(l):
+    """The seven witness edges on n = l^4 vertices: the three from vertex 0
+    and four consecutive pairs from c = l^4 - l^2. Together they reach the
+    complete drawing's extent on every side."""
+    c = l**4 - l**2
+    edges = ((0, 1), (0, 2), (0, 3), (c - 1, c), (c, c + 1), (c + 1, c + 2), (c + 2, c + 3))
+    return draw_graph(GraphInput(l**4, edges))
+
+
+class TestAreaBoundAtScale:
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_witness_edges_span_the_complete_drawing(self, l):
+        assert bounding_box(_witness(l)) == bounding_box(draw_complete(l**4))
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_extent_matches_closed_forms(self, l):
+        xmin, xmax, ymin, ymax = bounding_box(_witness(l))
+        assert xmax - xmin == 2 * l**6 + l**4 + l**3 + 7 * l**2 - 2
+        assert ymax - ymin == 8 * l**5 + 2 * l**3 + l**2 - 3 * l - 1
+
+    def test_area_ratio_falls_towards_16(self):
+        ratios = [Decimal(stats(_witness(l)).area_ratio) for l in (2, 3, 4, 5, 8)]
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] > 16
+
+
 def _candidates(d):
     """(kind, segment_i, segment_j) for every pair the sorted-span sweep
     lists, POS x NEG included.
@@ -321,6 +349,39 @@ def _candidates(d):
         kind = "collinear" if fa == fb != validator._VAR else "crossing"
         out.extend((kind, i, j) for i, j in zip(ia.tolist(), jb.tolist()))
     return out
+
+
+def _reference_candidates(d):
+    """{(fa, fb, i, j)} for every segment pair from families fa <= fb whose
+    closed spans overlap on x, y, p and q, from an all-pairs broadcast; i < j
+    within one family."""
+    l3 = d.l**3
+    lines = d.polylines()
+    a, b = lines[:, :-1].reshape(-1, 2), lines[:, 1:].reshape(-1, 2)
+
+    def project(pt):
+        x, y = pt[:, 0], pt[:, 1]
+        return np.stack((x, y, x * l3 + y, x - y * l3))
+
+    lo, hi = np.minimum(project(a), project(b)), np.maximum(project(a), project(b))
+    meet = ((lo[:, :, None] <= hi[:, None, :]) & (lo[:, None, :] <= hi[:, :, None])).all(axis=0)
+    ux, uy = (b - a).T
+    family = np.where(ux == uy * l3, 0, np.where(uy == -ux * l3, 1, np.where(ux == 0, 2, 3)))
+    members = [np.flatnonzero(family == f) for f in range(4)]
+    out = set()
+    for fa, fb in validator._FAMILY_PAIRS:
+        block = meet[np.ix_(members[fa], members[fb])]
+        if fa == fb:
+            block = np.triu(block, 1)
+        for r, c in zip(*np.nonzero(block)):
+            out.add((fa, fb, int(members[fa][r]), int(members[fb][c])))
+    return out
+
+
+def _c6_drawings():
+    """The twenty random drawings of acceptance criterion C6."""
+    rng = random.Random(0xC6)
+    return [draw_graph(random_graph(rng, max_n=81, max_m=100)) for _ in range(20)]
 
 
 class TestFilteredPairStream:
@@ -349,6 +410,22 @@ class TestFilteredPairStream:
         monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", 7)
         assert _candidates(k16) == candidates
         assert validate(k16, FILTERED).to_json_bytes() == report.to_json_bytes()
+
+    @pytest.mark.parametrize("chunk", [validator._CANDIDATE_CHUNK, 7])
+    def test_matches_all_pairs_reference(self, k16, chunk, monkeypatch):
+        # Each projection filters a chunk on its own and shrinks it; the
+        # pairs left must be exactly those that overlap on all four.
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", chunk)
+        for d in [k16, *_c6_drawings()]:
+            got = [
+                (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
+                for fa, fb, ia, jb in validator._family_pair_candidates(
+                    _Table(d).groups, validator._FAMILY_PAIRS
+                )
+                for i, j in zip(ia.tolist(), jb.tolist())
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) == _reference_candidates(d)
 
     def test_single_edge_has_no_cross_edge_pairs(self):
         d = draw_graph(GraphInput(5, ((0, 4),)))
@@ -452,6 +529,52 @@ class TestCountFirst:
         assert np.array_equal(strict, want)
         assert surplus == touches
         assert (touches > 0) == (name != "clean")
+
+
+class TestHelperThread:
+    # Filtered validation counts POS x NEG on one helper thread while the
+    # calling thread sweeps the other family pairs.
+
+    @pytest.mark.parametrize("where", ["_count_pos_neg", "_confirm_general"])
+    def test_error_in_either_thread_is_raised_and_joined(self, k16, where, monkeypatch):
+        def fail(*args):
+            raise RuntimeError(f"{where} failed")
+
+        before = threading.active_count()
+        monkeypatch.setattr(validator, where, fail)
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            validate(k16, FILTERED)
+        assert threading.active_count() == before
+
+    def test_one_thread_per_filtered_run_none_for_brute(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(validator.threading, "Thread", Spy)
+        d = draw_complete(5)
+        validate(d, FILTERED)
+        assert len(started) == 1 and not started[0].is_alive()
+        validate(d, BRUTE)
+        assert len(started) == 1
+
+    def test_modes_agree_under_fast_thread_switching(self, k16):
+        corrupted = []
+        for _, moves in TestMagnitudeRegimes.CORRUPTIONS.values():
+            bad = k16
+            for edge, index, point in moves:
+                bad = _replace_bend(bad, edge, index, point)
+            corrupted.append(bad)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for d in [k16, *_c6_drawings(), *corrupted]:
+                _modes_agree(d)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
@@ -602,3 +725,36 @@ class TestVertexPiercingSweep:
         assert _reported_piercings(validate(isolated, BRUTE)) == {
             ("segment:0:S6", "vertex:1", "20,-80")
         }
+
+
+def _reference_coincidences(d):
+    """(tags, location) of every point shared by two or more vertices and
+    bends, from a dict over every point."""
+    tagged = {}
+    for v, (x, y) in enumerate(d.vertices.tolist()):
+        tagged.setdefault((x, y), []).append(f"vertex:{v}")
+    for e, bends in enumerate(d.bends.tolist()):
+        for name, (x, y) in zip("abcdef", bends):
+            tagged.setdefault((x, y), []).append(f"bend:{e}:{name}")
+    return {(tuple(sorted(tags)), f"{x},{y}") for (x, y), tags in tagged.items() if len(tags) > 1}
+
+
+class TestCoincidenceScan:
+    @pytest.mark.parametrize("bits", [0, 70])
+    def test_matches_dict_reference(self, k16, bits):
+        # Bends of the first and last edges on a vertex, three points on one
+        # spot, two vertices on one spot, and a polyline drawn twice.
+        v5 = tuple(k16.vertices[5].tolist())
+        onto = _replace_bend(_replace_bend(k16, 0, 0, v5), k16.m - 1, 5, v5)
+        onto = _move_vertex(onto, 1, tuple(k16.vertices[2].tolist()))
+        twice = Drawing(k16.vertices, k16.endpoints[[0, 0, 1]], k16.bends[[0, 0, 1]])
+        for base in (k16, onto, twice):
+            d = _transform(base, 1 << bits, -(1 << bits))
+            want = _reference_coincidences(d)
+            assert bool(want) == (base is not k16)
+            got = {
+                (x.participants, *x.location)
+                for x in validate(d).violations
+                if x.kind is DefectKind.COINCIDENT_POINTS
+            }
+            assert got == want
