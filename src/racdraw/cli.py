@@ -20,9 +20,11 @@ from .model import ceil_fourth_root
 from .svg import SvgOptions, render_svg
 from .validator import ValidationMode, stats, validate
 
-# Construction with l beyond this needs an explicit override; exactness is
-# always preserved, the cap just keeps accidental huge runs cheap.
+# Construction with l beyond this, or of a complete graph with more edges
+# than this, needs an explicit override; exactness is always preserved, the
+# caps just keep accidental huge runs cheap. K1296 has 839,160 edges.
 DEFAULT_L_CAP = 16
+DEFAULT_EDGE_CAP = 1 << 20
 
 
 class CliError(Exception):
@@ -63,6 +65,12 @@ def cmd_draw(args) -> int:
     if l > DEFAULT_L_CAP and not args.allow_large:
         raise CliError(
             f"l={l} exceeds the default cap {DEFAULT_L_CAP}; "
+            "pass --allow-large to proceed"
+        )
+    edges = graph.n * (graph.n - 1) // 2 if args.complete else 0
+    if edges > DEFAULT_EDGE_CAP and not args.allow_large:
+        raise CliError(
+            f"K{graph.n} has {edges} edges, above the {DEFAULT_EDGE_CAP}-edge cap; "
             "pass --allow-large to proceed"
         )
     drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)
@@ -130,6 +138,8 @@ def bench_rows(l_max: int, repeat: int = 3) -> list[BenchRow]:
     """
     if l_max < 2:
         raise ValueError("l-max must be >= 2")
+    if l_max**4 * (l_max**4 - 1) // 2 > DEFAULT_EDGE_CAP:
+        raise ValueError(f"K{l_max**4} exceeds the {DEFAULT_EDGE_CAP}-edge cap")
     rows = []
     for l in range(2, l_max + 1):
         n = l**4
@@ -180,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_draw.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p_draw.add_argument(
-        "--allow-large", action="store_true", help=f"lift the l <= {DEFAULT_L_CAP} cap"
+        "--allow-large", action="store_true", help="lift the l and complete-graph edge caps"
     )
     p_draw.set_defaults(func=cmd_draw)
 

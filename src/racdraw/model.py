@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -154,15 +154,9 @@ class Defect:
         return (self.kind.value, self.participants, self.location)
 
 
-def _format_ratio(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for ``den > 0``, without the Fraction."""
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
 def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
-    """``_format_ratio`` over two columns (int64, object or mixed), with one
-    vector gcd."""
+    """``str(Fraction(num[k], den[k]))`` for each k, den > 0, over two
+    columns (int64, object or mixed), with one vector gcd and no Fraction."""
     g = np.gcd(num, den)
     return [
         str(a) if b == 1 else f"{a}/{b}"
@@ -183,6 +177,10 @@ _CROSSING_TEMPLATE = (
 )
 _JSON_BOOL = ("false", "true")
 
+# Listing takes six column entries per crossing: K81's 5,261,870 fit, and
+# K256's 529,142,968 (about 25 GB) are refused.
+LISTING_LIMIT = 1 << 23
+
 
 def _json_strings(values: tuple[str, ...]) -> str:
     return ",".join(f'"{v}"' for v in values)
@@ -202,7 +200,8 @@ class CrossingReport:
     order ((edge_a, edge_b, class_a, class_b); that key is unique per
     segment pair), so identical drawings always serialize to identical
     bytes regardless of how the report was computed, and nothing of the
-    listing is kept.
+    listing is kept. Both refuse, before enumerating anything, a report of
+    more than ``LISTING_LIMIT`` crossings.
     """
 
     __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_crossings")
@@ -232,8 +231,13 @@ class CrossingReport:
         return not self.violations
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The crossings as eight NumPy columns in canonical order; raises if
-        the enumeration does not list exactly the counted crossings."""
+        """The crossings as eight NumPy columns in canonical order. Raises
+        ValueError above ``LISTING_LIMIT`` crossings, and RuntimeError if the
+        enumeration does not list exactly the counted crossings."""
+        if self.crossing_count > LISTING_LIMIT:
+            raise ValueError(
+                f"{self.crossing_count} crossings exceed the listing limit {LISTING_LIMIT}"
+            )
         cols = self._crossings()
         if len(cols[0]) != self.crossing_count:
             raise RuntimeError(

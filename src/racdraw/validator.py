@@ -5,8 +5,9 @@ pair that meets with exact integer arithmetic (a crossing point is a
 numerator pair over a positive denominator), and reports crossings and
 defects as data. Two modes exist:
 
-* ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs in pure
-  Python big-int arithmetic, recording every crossing; the trust anchor.
+* ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs, each
+  classified in Python big-int arithmetic from ints read out of the
+  table's arrays, recording every crossing; the trust anchor.
 * ``FILTERED``: visits only pairs whose closed spans overlap on every
   projection, found by a sorted-span sweep, and confirms them in vector
   form; the one family pair that crosses in a valid drawing is counted,
@@ -53,6 +54,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -63,7 +65,7 @@ from .model import (
     Defect,
     DefectKind,
     Drawing,
-    _format_ratio,
+    _ratio_strings,
     format_point,
     int_column,
 )
@@ -108,11 +110,15 @@ def _classify(ax, ay, bx, by, cx, cy, dx, dy):
     rx, ry = cx - ax, cy - ay
     den = ux * vy - uy * vx
     if den:
+        # Most pairs miss on t alone, so u is computed only for the rest.
         tn = rx * vy - ry * vx
-        un = rx * uy - ry * ux
-        if den < 0:
-            den, tn, un = -den, -tn, -un
-        if tn < 0 or tn > den or un < 0 or un > den:
+        flip = den < 0
+        if flip:
+            den, tn = -den, -tn
+        if tn < 0 or tn > den:
+            return None
+        un = ry * ux - rx * uy if flip else rx * uy - ry * ux
+        if un < 0 or un > den:
             return None
         t_end = tn == 0 or tn == den
         u_end = un == 0 or un == den
@@ -180,27 +186,17 @@ class _Group:
 class _Table:
     """A drawing's segments as columns for the scans.
 
-    Segment i is class i % 7 + 1 (``classes``) of edge i // 7. Python lists
-    feed the scalar big-int path; NumPy columns of ``dtype`` feed the vector
-    path. ``spans[k]`` holds every segment's closed (lo, hi) interval on
-    projection k of (x, y, p, q), where p = x*l^3 + y and q = x - y*l^3;
-    ``groups`` holds the four slope families, each sorted for the sweep.
+    Segment i is class i % 7 + 1 (``classes``) of edge i // 7, has slope
+    family ``family[i]`` (``_ZERO`` if zero-length) and runs from (AX[i],
+    AY[i]) to (BX[i], BY[i]) in ``coords``, NumPy columns of ``dtype``; no
+    Python-list copy is kept, and the scalar path reads ints out of these
+    arrays for just the pairs it classifies. ``spans[k]`` holds every
+    segment's closed (lo, hi) interval on projection k of (x, y, p, q),
+    where p = x*l^3 + y and q = x - y*l^3; ``groups`` holds the four slope
+    families, each sorted for the sweep.
     """
 
-    __slots__ = (
-        "ax",
-        "ay",
-        "bx",
-        "by",
-        "active",
-        "zero",
-        "l3",
-        "dtype",
-        "coords",
-        "classes",
-        "spans",
-        "groups",
-    )
+    __slots__ = ("l3", "dtype", "coords", "family", "classes", "spans", "groups")
 
     def __init__(self, d: Drawing):
         lines = d.polylines()
@@ -216,17 +212,14 @@ class _Table:
         AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
         BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
         self.coords = (AX, AY, BX, BY)
-        self.ax, self.ay, self.bx, self.by = (c.tolist() for c in self.coords)
-        zero = (AX == BX) & (AY == BY)
-        self.zero = np.nonzero(zero)[0].tolist()
-        self.active = np.nonzero(~zero)[0].tolist()
         self.classes = np.arange(len(AX)) % 7 + 1
         ux, uy = BX - AX, BY - AY
         fam = np.full(len(AX), _VAR, dtype=np.int64)
         fam[ux == 0] = _VERT
         fam[ux == uy * l3] = _POS
         fam[uy == -ux * l3] = _NEG
-        fam[zero] = _ZERO
+        fam[(ux == 0) & (uy == 0)] = _ZERO
+        self.family = fam
         self.spans = (
             _spans(AX, BX),
             _spans(AY, BY),
@@ -259,13 +252,11 @@ def _pair_labels(t: _Table, i: int, j: int) -> tuple[str, ...]:
 
 
 def _scan_zero_length(t: _Table, defects: list[Defect]) -> None:
-    for i in t.zero:
+    zero = np.flatnonzero(t.family == _ZERO)
+    AX, AY = t.coords[:2]
+    for i, x, y in zip(zero.tolist(), AX[zero].tolist(), AY[zero].tolist()):
         defects.append(
-            Defect(
-                DefectKind.ZERO_LENGTH_SEGMENT,
-                (t.label(i),),
-                (format_point(t.ax[i], t.ay[i]),),
-            )
+            Defect(DefectKind.ZERO_LENGTH_SEGMENT, (t.label(i),), (format_point(x, y),))
         )
 
 
@@ -317,68 +308,57 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
 
 
 # ---------------------------------------------------------------------------
-# Pair processing (shared by both modes)
+# Exact scalar classification (shared by both modes)
 # ---------------------------------------------------------------------------
 
-# A crossing row is (segment_a, segment_b, xn, yn, den, perp), den > 0; the
-# report derives edges and classes and puts each pair in canonical order.
 
+def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects: list) -> None:
+    """Classify the segment pairs (i[k], j[k]) exactly with ``_classify``, in
+    Python ints read from the table's columns with one ``tolist`` each.
 
-def _record_crossing(t, i, j, xn, yn, den, perp, rows, defects) -> None:
-    rows.append((i, j, xn, yn, den, perp))
-    ca, cb = i % 7 + 1, j % 7 + 1
-    allowed = (min(ca, cb), max(ca, cb)) in ALLOWED_CLASS_PAIRS
-    if perp and allowed:
+    Touches and collinear overlaps are reported. The proper crossings are
+    appended to ``found`` as one chunk of columns (segment_a, segment_b,
+    x_num, y_num, den, perp), den > 0, and each one that is not a right
+    angle or not an allowed class pair is reported too. A shared endpoint
+    is legal where construction forces it (common vertex, consecutive
+    segments); every illegal case is a point coincidence among tagged
+    vertex/bend points, which the coincidence scan reports.
+    """
+    # map hands the eight columns straight to _classify and compress picks
+    # out the pairs that meet, both without a Python-level loop per pair.
+    ends = [col[k].tolist() for k in (i, j) for col in t.coords]
+    results = list(map(_classify, *ends))
+    hits = list(compress(range(len(results)), results))
+    proper = []
+    for k, a, b in zip(hits, i[hits].tolist(), j[hits].tolist()):
+        res = results[k]
+        if res[0] == "shared":
+            continue
+        if res[0] == "proper":
+            ax, ay, bx, by, cx, cy, dx, dy = (col[k] for col in ends)
+            perp = (bx - ax) * (dx - cx) + (by - ay) * (dy - cy) == 0
+            proper.append((a, b, res[1], res[2], res[3], perp))
+            continue
+        touch = res[0] == "touch"
+        kind = DefectKind.ENDPOINT_TOUCHES_INTERIOR if touch else DefectKind.COLLINEAR_OVERLAP
+        points = tuple(format_point(*res[n : n + 2]) for n in range(1, len(res), 2))
+        defects.append(Defect(kind, _pair_labels(t, a, b), points))
+    if not proper:
         return
-    loc = (f"{_format_ratio(xn, den)},{_format_ratio(yn, den)}",)
-    labels = _pair_labels(t, i, j)
-    if not perp:
-        defects.append(Defect(DefectKind.NON_PERPENDICULAR_CROSSING, labels, loc))
-    if not allowed:
-        defects.append(Defect(DefectKind.DISALLOWED_CLASS_PAIR, labels, loc))
-
-
-def _finish_pair(t: _Table, i: int, j: int, rows: list, defects: list) -> None:
-    res = _classify(
-        t.ax[i], t.ay[i], t.bx[i], t.by[i], t.ax[j], t.ay[j], t.bx[j], t.by[j]
-    )
-    if res is None:
-        return
-    tag = res[0]
-    if tag == "shared":
-        # Legal where construction forces it (common vertex, consecutive
-        # segments); every illegal case is a point coincidence among tagged
-        # vertex/bend points, which the coincidence scan reports.
-        return
-    if tag == "touch":
-        defects.append(
-            Defect(
-                DefectKind.ENDPOINT_TOUCHES_INTERIOR,
-                _pair_labels(t, i, j),
-                (format_point(res[1], res[2]),),
-            )
-        )
-        return
-    if tag == "overlap":
-        defects.append(
-            Defect(
-                DefectKind.COLLINEAR_OVERLAP,
-                _pair_labels(t, i, j),
-                (format_point(res[1], res[2]), format_point(res[3], res[4])),
-            )
-        )
-        return
-    xn, yn, den = res[1], res[2], res[3]
-    ux, uy = t.bx[i] - t.ax[i], t.by[i] - t.ay[i]
-    vx, vy = t.bx[j] - t.ax[j], t.by[j] - t.ay[j]
-    _record_crossing(
-        t, i, j, xn, yn, den, ux * vx + uy * vy == 0, rows, defects
-    )
-
-
-def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, rows, defects) -> None:
-    for a, b in zip(i.tolist(), j.tolist()):
-        _finish_pair(t, a, b, rows, defects)
+    *ints, perp = zip(*proper)
+    a, b, xn, yn, den = (int_column(c) for c in ints)
+    perp = np.array(perp, dtype=bool)
+    found.append((a, b, xn, yn, den, perp))
+    allowed = _ALLOWED[t.classes[a], t.classes[b]]
+    bad = np.flatnonzero(~perp | ~allowed)
+    for k, x, y in zip(
+        bad.tolist(), _ratio_strings(xn[bad], den[bad]), _ratio_strings(yn[bad], den[bad])
+    ):
+        labels, loc = _pair_labels(t, int(a[k]), int(b[k])), (f"{x},{y}",)
+        if not perp[k]:
+            defects.append(Defect(DefectKind.NON_PERPENDICULAR_CROSSING, labels, loc))
+        if not allowed[k]:
+            defects.append(Defect(DefectKind.DISALLOWED_CLASS_PAIR, labels, loc))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +560,7 @@ def _pos_neg_pairs(t: _PosNeg) -> Iterator[tuple[np.ndarray, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _confirm_general(t: _Table, i, j, rows, defects) -> None:
+def _confirm_general(t: _Table, i, j, found, defects) -> None:
     """Drop pairs that are disjoint or share just an endpoint, in vector form.
 
     Only POS x NEG pairs cross in a drawing the layout engine made, so the
@@ -602,10 +582,10 @@ def _confirm_general(t: _Table, i, j, rows, defects) -> None:
     inside = (tn >= 0) & (tn <= den) & (un >= 0) & (un <= den)
     shared = ((tn == 0) | (tn == den)) & ((un == 0) | (un == den))
     hit = np.where(den == 0, ux * ry - uy * rx == 0, inside & ~shared)
-    _finish_pairs(t, i[hit], j[hit], rows, defects)
+    _finish_pairs(t, i[hit], j[hit], found, defects)
 
 
-def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
+def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     """Sweep every family pair but POS x NEG, count POS x NEG, and return
     the counted crossings per class pair. The POS x NEG pairs are
     enumerated, for the scalar classifier to report, only when a count
@@ -627,7 +607,7 @@ def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
     helper.start()
     try:
         for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
-            _confirm_general(t, ia, jb, rows, defects)
+            _confirm_general(t, ia, jb, found, defects)
     finally:
         helper.join()
     if isinstance(slot[0], BaseException):
@@ -635,38 +615,40 @@ def _run_filtered(t: _Table, rows: list, defects: list) -> np.ndarray:
     strict, surplus = slot[0]
     if surplus or strict[~_ALLOWED].any():
         for i, j, _, _, _, rest in _pos_neg_pairs(pos_neg):
-            _finish_pairs(t, i[rest], j[rest], rows, defects)
+            _finish_pairs(t, i[rest], j[rest], found, defects)
     return np.where(_ALLOWED, strict, 0)
 
 
-def _run_brute(t: _Table, rows: list, defects: list) -> None:
-    act = t.active
-    finish = _finish_pair
-    for a_pos in range(len(act)):
-        i = act[a_pos]
-        for b_pos in range(a_pos + 1, len(act)):
-            finish(t, i, act[b_pos], rows, defects)
+def _run_brute(t: _Table, found: list, defects: list) -> None:
+    """Classify every pair of segments of nonzero length, one row of the
+    upper triangle at a time."""
+    act = np.flatnonzero(t.family != _ZERO)
+    for k in range(len(act) - 1):
+        rest = act[k + 1 :]
+        _finish_pairs(t, np.full(len(rest), act[k]), rest, found, defects)
 
 
-def _pair_counts(counted: np.ndarray, rows: list) -> dict[str, int]:
+def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:
     """Crossings per class pair, keyed "SaxSb" with a <= b: the ``counted``
-    grid, indexed [class_a, class_b], plus the scalar ``rows``."""
+    grid, indexed [class_a, class_b], plus the chunks in ``found``."""
     grid = counted.copy()
-    for i, j, *_ in rows:
-        grid[i % 7 + 1, j % 7 + 1] += 1
+    for i, j, *_ in found:
+        np.add.at(grid, (i % 7 + 1, j % 7 + 1), 1)
     grid = np.triu(grid) + np.tril(grid, -1).T
     return {f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))}
 
 
-def _crossing_columns(pos_neg: _PosNeg | None, rows: list) -> tuple:
-    """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
-    y_num, den, perp).
+# The crossing columns of no crossing; every listing starts from it.
+_NO_CROSSINGS = (*(np.zeros(0, dtype=np.int64),) * 5, np.zeros(0, dtype=bool))
 
-    With ``pos_neg``, the clean POS x NEG crossings are enumerated and located
-    in (p, q); ``rows`` adds each crossing the scalar classifier recorded.
+
+def _crossing_columns(pos_neg: _PosNeg | None, found: list) -> tuple:
+    """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
+    y_num, den, perp): the chunks in ``found`` and, with ``pos_neg``, the
+    clean POS x NEG crossings, enumerated afresh and located in (p, q).
     Integer columns are int64, or object where a value exceeds int64.
     """
-    col_chunks: list = [[] for _ in range(6)]
+    chunks = [_NO_CROSSINGS, *found]
     if pos_neg is not None:
         l3 = pos_neg.l3
         for i, j, p, q, clean, _ in _pos_neg_pairs(pos_neg):
@@ -675,17 +657,8 @@ def _crossing_columns(pos_neg: _PosNeg | None, rows: list) -> tuple:
             # The denominator and the right angle are the same for every pair.
             den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=p.dtype), len(keep))
             perp = np.broadcast_to(True, len(keep))
-            for chunks, col in zip(col_chunks, (i, j, p * l3 + q, p - q * l3, den, perp)):
-                chunks.append(col)
-    if rows:
-        by_col = list(zip(*rows))
-        for k in range(5):
-            col_chunks[k].append(int_column(by_col[k]))
-        col_chunks[5].append(np.array(by_col[5], dtype=bool))
-    return tuple(
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=bool if k == 5 else np.int64)
-        for k, chunks in enumerate(col_chunks)
-    )
+            chunks.append((i, j, p * l3 + q, p - q * l3, den, perp))
+    return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -714,24 +687,24 @@ def validate(
     asked for them.
     """
     t = _Table(d)
-    rows: list = []
+    found: list = []
     defects: list[Defect] = []
     _scan_zero_length(t, defects)
     _scan_coincident_points(d, defects)
     _scan_vertex_piercings(t, d, defects)
     if mode is ValidationMode.BRUTE_FORCE:
-        _run_brute(t, rows, defects)
+        _run_brute(t, found, defects)
         counted, pos_neg = np.zeros((8, 8), dtype=np.int64), None
     else:
-        counted, pos_neg = _run_filtered(t, rows, defects), t.pos_neg()
+        counted, pos_neg = _run_filtered(t, found, defects), t.pos_neg()
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
         m=d.m,
         violations=tuple(defects),
         bbox=bounding_box(d),
-        pair_counts=_pair_counts(counted, rows),
-        crossings=partial(_crossing_columns, pos_neg, rows),
+        pair_counts=_pair_counts(counted, found),
+        crossings=partial(_crossing_columns, pos_neg, found),
     )
 
 

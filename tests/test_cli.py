@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from racdraw import cli
 from racdraw.cli import main
 
 
@@ -46,6 +47,25 @@ class TestDraw:
     def test_large_l_needs_override(self, capsys):
         assert main(["draw", "--n", "65537", "--complete", "--out", "-"]) == 2
         assert "--allow-large" in capsys.readouterr().err
+
+    def test_large_complete_graph_needs_override(self, monkeypatch, capsys):
+        # K1448 has 1,047,628 edges, under 2**20; K1449 has 1,049,076. K65536
+        # passes the l cap (l = 16) with 2,147,450,880 edges. A stand-in
+        # drawing is written in place of any that passes.
+        drawn, draw_complete = [], cli.draw_complete
+
+        def stand_in(n):
+            drawn.append(n)
+            return draw_complete(2)
+
+        monkeypatch.setattr(cli, "draw_complete", stand_in)
+        assert main(["draw", "--n", "65536", "--complete", "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "K65536 has 2147450880 edges" in err and "--allow-large" in err
+        assert main(["draw", "--n", "1449", "--complete", "--out", "-"]) == 2
+        assert main(["draw", "--n", "1448", "--complete", "--out", "-"]) == 0
+        assert main(["draw", "--n", "1449", "--complete", "--allow-large", "--out", "-"]) == 0
+        assert drawn == [1448, 1449]
 
     def test_parse_error_surfaces_line(self, tmp_path, capsys):
         edges = tmp_path / "bad.edges"
@@ -152,6 +172,12 @@ class TestBench:
     def test_l_max_too_small(self, capsys):
         assert main(["bench", "--l-max", "1"]) == 2
         assert "l-max must be >= 2" in capsys.readouterr().err
+
+    def test_l_max_beyond_edge_cap(self, monkeypatch, capsys):
+        # K2401 (l = 7) has 2,881,200 edges; K1296 (l = 6) fits.
+        monkeypatch.setattr(cli, "draw_complete", lambda n: pytest.fail("drew K%d" % n))
+        assert main(["bench", "--l-max", "7"]) == 2
+        assert "K2401 exceeds" in capsys.readouterr().err
 
     def test_table_shape(self, capsys):
         assert main(["bench", "--l-max", "2", "--repeat", "1"]) == 0

@@ -13,7 +13,7 @@ from racdraw import (
     vertex_slot,
 )
 from racdraw.io import document_to_drawing, drawing_to_document
-from racdraw.model import _ratio_strings
+from racdraw.model import LISTING_LIMIT, CrossingReport, _ratio_strings
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -27,6 +27,23 @@ def test_ratio_strings_match_fraction(dtype):
     for den_dtype in (dtype, np.int64):
         got = _ratio_strings(np.array(num, dtype=dtype), np.array(den, dtype=den_dtype))
         assert got == want
+
+
+@pytest.mark.parametrize("write", ["listing", "to_json_bytes"])
+def test_listing_refused_above_limit_before_enumerating(write):
+    def enumerate_crossings():
+        raise AssertionError("crossings enumerated")
+
+    report = CrossingReport(
+        n=256,
+        m=32640,
+        violations=(),
+        bbox=(0, 1, 0, 1),
+        pair_counts={"S2xS3": LISTING_LIMIT, "S3xS4": 1},
+        crossings=enumerate_crossings,
+    )
+    with pytest.raises(ValueError, match=f"^{LISTING_LIMIT + 1} crossings exceed the listing limit"):
+        getattr(report, write)()
 
 
 class TestGridParams:

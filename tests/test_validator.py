@@ -433,6 +433,19 @@ class TestFilteredPairStream:
             assert i // 7 == j // 7 == 0
 
 
+def _disallowed_s1_s3():
+    """n = 4, so l^3 = 8: S1 of edge 0 runs along (8, 1) and S3 of edge 1
+    along (1, -8); they cross strictly at (8, 1), a disallowed pair."""
+    return Drawing(
+        [(0, 0), (60, -30), (100, 100), (200, 40)],
+        [(0, 1), (2, 3)],
+        [
+            [(16, 2), (20, -40), (30, -41), (40, -42), (50, -43), (55, -44)],
+            [(50, 50), (7, 9), (9, -7), (120, -50), (150, -20), (180, 10)],
+        ],
+    )
+
+
 class TestCountFirst:
     # The filtered verdict counts POS x NEG crossings and enumerates those
     # pairs only when a count shows a defect, or for a listing.
@@ -478,16 +491,7 @@ class TestCountFirst:
         assert report.crossing_count == validate(bad, BRUTE).crossing_count
 
     def test_disallowed_strict_crossing_reported_through_fallback(self, monkeypatch):
-        # n = 4, so l^3 = 8: S1 of edge 0 runs along (8, 1) and S3 of edge 1
-        # along (1, -8); they cross strictly at (8, 1), a disallowed pair.
-        d = Drawing(
-            [(0, 0), (60, -30), (100, 100), (200, 40)],
-            [(0, 1), (2, 3)],
-            [
-                [(16, 2), (20, -40), (30, -41), (40, -42), (50, -43), (55, -44)],
-                [(50, 50), (7, 9), (9, -7), (120, -50), (150, -20), (180, 10)],
-            ],
-        )
+        d = _disallowed_s1_s3()
         calls = self._spy(monkeypatch)
         report = _modes_agree(d)
         assert calls
@@ -667,6 +671,37 @@ class TestMagnitudeRegimes:
         for kind, participants in expected:
             flagged = {d.participants for d in report.violations if d.kind is kind}
             assert flagged if participants is None else participants in flagged
+
+
+class TestCrossingDefectLocations:
+    # Both modes locate crossing defects through the report's one ratio
+    # formatter, so their agreement cannot catch a slip in it; Fraction can.
+    KINDS = (DefectKind.NON_PERPENDICULAR_CROSSING, DefectKind.DISALLOWED_CLASS_PAIR)
+
+    @pytest.mark.parametrize("mode", [BRUTE, FILTERED])
+    @pytest.mark.parametrize("bits", [0, 70])
+    def test_locations_match_fraction_oracle(self, k16, bits, mode):
+        bent = k16
+        for edge, index, point in TestMagnitudeRegimes.CORRUPTIONS["bent"][1]:
+            bent = _replace_bend(bent, edge, index, point)
+        located = []
+        for d in (bent, _disallowed_s1_s3()):
+            d = _transform(d, 1 << bits, 1 << bits)
+            assert _Table(d).dtype is (object if bits else np.int64)
+            segments = {
+                f"segment:{e}:S{c}": (*a, *b)
+                for e, pts in enumerate(d.polylines().tolist())
+                for c, (a, b) in enumerate(zip(pts, pts[1:]), start=1)
+            }
+            for defect in validate(d, mode).violations:
+                if defect.kind not in self.KINDS:
+                    continue
+                tag, xn, yn, den = segment_pair(*(segments[p] for p in defect.participants))
+                assert tag == "proper"
+                assert defect.location == (f"{Fraction(xn, den)},{Fraction(yn, den)}",)
+                located.append((defect.kind, defect.location[0]))
+        assert {kind for kind, _ in located} == set(self.KINDS)
+        assert any("/" in loc for _, loc in located)
 
 
 def _reference_piercings(d):
