@@ -81,6 +81,8 @@ def cmd_draw(args) -> int:
 def cmd_validate(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
     report = validate(drawing, ValidationMode(args.mode))
+    # Built first, so a refused listing prints no verdict and writes no file.
+    text = report.to_json_bytes().decode("ascii") + "\n" if args.report else None
     print(f"drawing: n={report.n} m={report.m}")
     hist = ", ".join(f"{k}={v}" for k, v in sorted(report.pair_counts.items()))
     print(f"crossings: {report.crossing_count}" + (f" ({hist})" if hist else ""))
@@ -91,8 +93,8 @@ def cmd_validate(args) -> int:
     if len(report.violations) > 20:
         print(f"  ... and {len(report.violations) - 20} more")
     print(f"certified RAC: {'yes' if report.ok else 'NO'}")
-    if args.report:
-        _write_text(args.report, report.to_json_bytes().decode("ascii") + "\n")
+    if text is not None:
+        _write_text(args.report, text)
     return 0 if report.ok else 1
 
 

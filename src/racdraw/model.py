@@ -253,9 +253,12 @@ class CrossingReport:
         order: (edge_a, edge_b, class_a, class_b, x_num, y_num, den, perp).
 
         Classes are the ints 1..7, and each crossing lies at
-        (x_num / den, y_num / den), den > 0, not reduced.
+        (x_num / den, y_num / den), den > 0, in lowest terms: the three
+        share no common factor, however the report was computed.
         """
-        return tuple(c.tolist() for c in self._columns())
+        *keys, x, y, den, perp = self._columns()
+        g = np.gcd(np.gcd(x, y), den)
+        return tuple(c.tolist() for c in (*keys, x // g, y // g, den // g, perp))
 
     def to_json_bytes(self) -> bytes:
         """The canonical ``rac-report/1`` bytes.

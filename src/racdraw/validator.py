@@ -19,27 +19,27 @@ defects as data. Two modes exist:
 Both modes must produce byte-identical reports. The report holds the
 crossing counts per class pair and lists the crossings only when asked:
 each listing enumerates them afresh, unsorted, and puts them in canonical
-order, so any schedule yields the same bytes. Validation never mutates
-the drawing.
+order, so any enumeration order yields the same bytes. Validation never
+mutates the drawing.
 
 No floating-point operation participates in any predicate. The filtered
 mode works in the rotated lattice basis p = x*l^3 + y, q = x - y*l^3, in
 which the two slope families are axis-parallel: POS segments keep q fixed
 and NEG segments keep p fixed, so their crossings are orthogonal segment
 intersections, decided and located exactly in (p, q). The verdict counts
-them per class pair with a sweep over p and a Fenwick decomposition over
-q ranks (Bentley & Ottmann 1979; Fenwick 1994): strict box meets (proper
-crossings), closed box meets, and, by an equality join on endpoints,
-meets at a shared endpoint. Two counts must be zero: closed minus strict
-minus shared (an endpoint on the other's interior) and any strict meet of
-a disallowed class pair. When either is not, the POS x NEG pairs are
-enumerated and each offending pair is reported exactly. Every other
-family pair is swept: the sweep counts, per family pair, the closed-span
-overlaps on each of x, y, p and q by binary search and expands only the
-cheapest projection, in chunks of bounded size that the other three
-filter one at a time, fewest overlaps first. The POS x NEG count runs on
-one helper thread beside the sweep. Both modes find segments through
-vertices with the same sweep, vertices taking part as zero-length spans.
+the strict box meets (proper crossings) per class pair with a sweep over
+p and a Fenwick decomposition over q ranks (Bentley & Ottmann 1979;
+Fenwick 1994), and the meets on a box's boundary, shared endpoints among
+them, by binary search over ends sorted in (p, q). Two counts must be
+zero: boundary meets other than a shared endpoint (an endpoint on the
+other's interior) and any strict meet of a disallowed class pair. When
+either is not, the POS x NEG pairs are enumerated and each offending
+pair is reported exactly. Every other family pair is swept: the sweep
+counts, per family pair, the closed-span overlaps on each of x, y, p and
+q by binary search and expands only the cheapest projection, in chunks
+of bounded size that the other three filter one at a time, the expanded
+projection's partner first. Both modes find segments through vertices
+with the same sweep, vertices taking part as zero-length spans.
 
 Every vector expression runs on one dtype chosen per drawing: int64 while
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
@@ -50,12 +50,11 @@ arrays of Python ints beyond it, through the same code.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -228,23 +227,8 @@ class _Table:
         )
         self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
 
-    def pos_neg(self) -> _PosNeg:
-        return _PosNeg(self.groups[: _NEG + 1], self.spans[2:], self.classes, self.l3)
-
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
-
-
-class _PosNeg(NamedTuple):
-    """What counting and listing the POS x NEG crossings reads of a table:
-    ``groups`` indexed by family up to NEG, every segment's (lo, hi) spans
-    on p and q, and the classes. A filtered report's listing keeps only
-    this alive."""
-
-    groups: list
-    spans: tuple
-    classes: np.ndarray
-    l3: int
 
 
 def _pair_labels(t: _Table, i: int, j: int) -> tuple[str, ...]:
@@ -425,13 +409,16 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
 
     Overlaps are counted exactly on all four projections; only the one with
     the fewest is expanded. The other three filter each chunk one at a
-    time, fewest overlaps first, and the chunk shrinks after each, so a
-    chunk the first filter empties costs no more. With ``b`` None, pairs
-    within ``a`` are listed.
+    time, and the chunk shrinks after each, so a chunk the first filter
+    empties costs no more. The first filter is the expanded projection's
+    partner (x with y, p with q): p = x*l^3 + y orders segments much as x
+    does, so the partner prunes far more. The other two follow, fewest
+    overlaps first. With ``b`` None, pairs within ``a`` are listed.
     """
     ranges = [_overlap_ranges(a, b, k) for k in range(4)]
     counts = [sum(int((r[2] - r[1]).sum()) for r in sets) for sets in ranges]
     best, *filters = sorted(range(4), key=counts.__getitem__)
+    filters.sort(key=lambda k: k != best ^ 1)
     if counts[best] == 0:
         return
     other = a if b is None else b
@@ -494,16 +481,30 @@ def _dominance(a, b, w, x, y, top: int) -> np.ndarray:
     return out
 
 
-def _count_pos_neg(t: _PosNeg) -> tuple[np.ndarray, int]:
+def _stabbed(group, lo, hi, at_group, at, top: int) -> int:
+    """How many (interval i, query k) pairs have group[i] == at_group[k] and
+    lo[i] <= at[k] <= hi[i]; every value is an int64 rank below ``top``.
+
+    Keyed group-major, the intervals of a group that start at or before
+    ``at``, less those that end before it, are those that hold it.
+    """
+    keys = at_group * top + at
+    starts, ends = np.sort(group * top + lo), np.sort(group * top + hi)
+    return int((np.searchsorted(starts, keys, "right") - np.searchsorted(ends, keys)).sum())
+
+
+def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     """Count the POS x NEG meets without listing them.
 
     In (p, q) a POS segment is horizontal and a NEG segment vertical, so a
     pair meets iff NEG's p lies in POS's p-span and POS's q in NEG's q-span
-    (the closed box), and crosses properly iff both hold strictly; each is
-    a difference of ``_dominance`` terms over ranks. Returns the strict
-    meets as an 8 x 8 grid indexed [class of POS, class of NEG], and the
-    number of meets that are neither strict nor a shared endpoint, which
-    is an endpoint on the other's interior.
+    (the closed box), and crosses properly iff both hold strictly, a
+    difference of ``_dominance`` terms over ranks. A meet on the box's
+    boundary puts NEG's p at a POS end or POS's q at a NEG end, and a
+    corner meet does both, sharing an endpoint; each is a ``_stabbed``
+    count. Returns the strict meets as an 8 x 8 grid indexed [class of
+    POS, class of NEG], and the number of meets that are neither strict
+    nor a shared endpoint, which is an endpoint on the other's interior.
     """
     pos, neg = t.groups[_POS], t.groups[_NEG]
     (p_lo, p_hi), (q, _) = pos.spans[2:]
@@ -514,28 +515,30 @@ def _count_pos_neg(t: _PosNeg) -> tuple[np.ndarray, int]:
         return grid, 0
     # Ranks keep every comparison exact and int64, whatever the dtype.
     _, p_rank = np.unique(np.concatenate((p_lo, p_hi, p)), return_inverse=True)
-    q_values, q_rank = np.unique(np.concatenate((q, q_lo, q_hi)), return_inverse=True)
+    _, q_rank = np.unique(np.concatenate((q, q_lo, q_hi)), return_inverse=True)
     p_lo, p_hi, p = np.split(p_rank.reshape(-1), [n_pos, 2 * n_pos])
     q, q_lo, q_hi = np.split(q_rank.reshape(-1), [n_pos, n_pos + n_neg])
-    top = len(q_values)
+    # Above every p and q rank, so a pair of ranks keys as one int64.
+    top = len(p_rank) + len(q_rank)
     pos_classes, column = np.unique(t.classes[pos.idx], return_inverse=True)
     w = np.eye(len(pos_classes), dtype=np.int64)[column.reshape(-1)]
-    # Terms: strict +, strict -, closed +, closed -, as p-bounds x, q-bounds y.
-    y = np.concatenate((q_hi, q_lo + 1, q_hi + 1, q_lo))
-    shape = (4, n_neg, len(pos_classes))
-    lo = _dominance(p_lo, q, w, np.concatenate((p, p, p + 1, p + 1)), y, top)
-    hi = _dominance(p_hi, q, w, np.concatenate((p + 1, p + 1, p, p)), y, top)
-    terms = lo.reshape(shape) - hi.reshape(shape)
-    strict, closed = terms[0] - terms[1], terms[2] - terms[3]
+    pos_ends, pos_q = np.concatenate((p_lo, p_hi)), np.concatenate((q, q))
+    neg_ends, neg_p = np.concatenate((q_lo, q_hi)), np.concatenate((p, p))
+    # A POS start weighs +1 on its class and an end -1; in doubled p ranks
+    # the one bound 2p + 1 counts the starts with p_lo < p and the ends with
+    # p_hi <= p. The strict q-bounds are q < q_hi, less q < q_lo + 1.
+    a = np.concatenate((2 * p_lo + 2, 2 * p_hi))
+    y = np.concatenate((q_hi, q_lo + 1))
+    terms = _dominance(a, pos_q, np.concatenate((w, -w)), 2 * neg_p + 1, y, top)
+    strict = terms[:n_neg] - terms[n_neg:]
     np.add.at(grid, (pos_classes[None, :], t.classes[neg.idx][:, None]), strict)
-    # A corner meet shares one endpoint: an equality join on (p, q).
-    ends = np.sort(np.concatenate((p * top + q_lo, p * top + q_hi)))
-    keys = np.concatenate((p_lo * top + q, p_hi * top + q))
-    corners = np.searchsorted(ends, keys, "right") - np.searchsorted(ends, keys, "left")
-    return grid, int(closed.sum()) - int(strict.sum()) - int(corners.sum())
+    on_p = _stabbed(p, q_lo, q_hi, pos_ends, pos_q, top)
+    on_q = _stabbed(q, p_lo, p_hi, neg_ends, neg_p, top)
+    corners = _stabbed(neg_p, neg_ends, neg_ends, pos_ends, pos_q, top)
+    return grid, on_p + on_q - 2 * corners
 
 
-def _pos_neg_pairs(t: _PosNeg) -> Iterator[tuple[np.ndarray, ...]]:
+def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield (i, j, p, q, clean, rest) chunks of POS segments i against NEG
     segments j whose (p, q) boxes meet.
 
@@ -546,7 +549,7 @@ def _pos_neg_pairs(t: _PosNeg) -> Iterator[tuple[np.ndarray, ...]]:
     y = (p - q*l^3)/(l^6 + 1). ``rest`` marks those that are neither clean
     nor a shared endpoint; the exact scalar classifier reports them.
     """
-    (p_lo, p_hi), (q_lo, q_hi) = t.spans
+    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2:]
     for _, _, i, j in _family_pair_candidates(t.groups, ((_POS, _NEG),)):
         p, q = p_lo[j], q_lo[i]
         p_end = (p == p_lo[i]) | (p == p_hi[i])
@@ -590,31 +593,12 @@ def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     the counted crossings per class pair. The POS x NEG pairs are
     enumerated, for the scalar classifier to report, only when a count
     that must be zero is not.
-
-    The count reads only the table's arrays, and its sorts and searches
-    release the GIL, so it runs on one helper thread beside the sweep.
     """
-    pos_neg = t.pos_neg()
-    slot: list = []
-
-    def count() -> None:
-        try:
-            slot.append(_count_pos_neg(pos_neg))
-        except BaseException as exc:  # re-raised below, on the calling thread
-            slot.append(exc)
-
-    helper = threading.Thread(target=count)
-    helper.start()
-    try:
-        for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
-            _confirm_general(t, ia, jb, found, defects)
-    finally:
-        helper.join()
-    if isinstance(slot[0], BaseException):
-        raise slot[0]
-    strict, surplus = slot[0]
+    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
+        _confirm_general(t, ia, jb, found, defects)
+    strict, surplus = _count_pos_neg(t)
     if surplus or strict[~_ALLOWED].any():
-        for i, j, _, _, _, rest in _pos_neg_pairs(pos_neg):
+        for i, j, _, _, _, rest in _pos_neg_pairs(t):
             _finish_pairs(t, i[rest], j[rest], found, defects)
     return np.where(_ALLOWED, strict, 0)
 
@@ -642,16 +626,16 @@ def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:
 _NO_CROSSINGS = (*(np.zeros(0, dtype=np.int64),) * 5, np.zeros(0, dtype=bool))
 
 
-def _crossing_columns(pos_neg: _PosNeg | None, found: list) -> tuple:
+def _crossing_columns(t: _Table | None, found: list) -> tuple:
     """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
-    y_num, den, perp): the chunks in ``found`` and, with ``pos_neg``, the
-    clean POS x NEG crossings, enumerated afresh and located in (p, q).
+    y_num, den, perp): the chunks in ``found`` and, with the table ``t``,
+    the clean POS x NEG crossings, enumerated afresh and located in (p, q).
     Integer columns are int64, or object where a value exceeds int64.
     """
     chunks = [_NO_CROSSINGS, *found]
-    if pos_neg is not None:
-        l3 = pos_neg.l3
-        for i, j, p, q, clean, _ in _pos_neg_pairs(pos_neg):
+    if t is not None:
+        l3 = t.l3
+        for i, j, p, q, clean, _ in _pos_neg_pairs(t):
             keep = np.nonzero(clean)[0]
             i, j, p, q = i[keep], j[keep], p[keep], q[keep]
             # The denominator and the right angle are the same for every pair.
@@ -694,9 +678,9 @@ def validate(
     _scan_vertex_piercings(t, d, defects)
     if mode is ValidationMode.BRUTE_FORCE:
         _run_brute(t, found, defects)
-        counted, pos_neg = np.zeros((8, 8), dtype=np.int64), None
+        counted, listed = np.zeros((8, 8), dtype=np.int64), None
     else:
-        counted, pos_neg = _run_filtered(t, found, defects), t.pos_neg()
+        counted, listed = _run_filtered(t, found, defects), t
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
@@ -704,7 +688,7 @@ def validate(
         violations=tuple(defects),
         bbox=bounding_box(d),
         pair_counts=_pair_counts(counted, found),
-        crossings=partial(_crossing_columns, pos_neg, found),
+        crossings=partial(_crossing_columns, listed, found),
     )
 
 

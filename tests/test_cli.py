@@ -99,6 +99,17 @@ class TestValidate:
         assert report["crossing_count"] == 7760
         assert report["violations"] == []
 
+    def test_refused_report_prints_no_verdict(self, k16_file, tmp_path, monkeypatch, capsys):
+        # A report above the listing limit is a usage error: nothing may
+        # read as a certificate, and no file is written.
+        monkeypatch.setattr("racdraw.model.LISTING_LIMIT", 100)
+        out = tmp_path / "r.json"
+        assert main(["validate", str(k16_file), "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "7760 crossings exceed the listing limit 100" in captured.err
+        assert not out.exists()
+
     def test_garbage_input_is_io_error(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"
         bad.write_text("{")

@@ -122,10 +122,12 @@ def _move_vertex(drawing, v, new_point):
 
 def _modes_agree(d):
     """Validate ``d`` in both modes and require the same counts, read before
-    any listing, and the same report bytes; returns the filtered report."""
+    any listing, the same listing and the same report bytes; returns the
+    filtered report."""
     filtered, brute = validate(d, FILTERED), validate(d, BRUTE)
     assert filtered.crossing_count == brute.crossing_count
     assert filtered.pair_counts == brute.pair_counts
+    assert filtered.listing() == brute.listing()
     assert filtered.to_json_bytes() == brute.to_json_bytes()
     return filtered
 
@@ -322,14 +324,19 @@ class TestAreaBoundAtScale:
     def test_witness_edges_span_the_complete_drawing(self, l):
         assert bounding_box(_witness(l)) == bounding_box(draw_complete(l**4))
 
-    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    @pytest.mark.parametrize("l", [2, 3, 4, 5, 16, 32])
     def test_extent_matches_closed_forms(self, l):
         xmin, xmax, ymin, ymax = bounding_box(_witness(l))
         assert xmax - xmin == 2 * l**6 + l**4 + l**3 + 7 * l**2 - 2
         assert ymax - ymin == 8 * l**5 + 2 * l**3 + l**2 - 3 * l - 1
 
     def test_area_ratio_falls_towards_16(self):
-        ratios = [Decimal(stats(_witness(l)).area_ratio) for l in (2, 3, 4, 5, 8)]
+        # At l = 32 (n = 2^20) the rotated coordinates pass the int64 bound,
+        # so the certifier runs on object arrays.
+        reports = [stats(_witness(l)) for l in (2, 3, 4, 5, 8, 16, 32)]
+        assert [s.violation_count for s in reports] == [0] * len(reports)
+        ratios = [Decimal(s.area_ratio) for s in reports]
+        assert ratios[-2:] == [Decimal("16.0501"), Decimal("16.0121")]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] > 16
 
@@ -521,7 +528,7 @@ class TestCountFirst:
                 d = _replace_bend(d, edge, index, point)
         d = _transform(d, rotate=rotate)
         t = _Table(d)
-        strict, surplus = validator._count_pos_neg(t.pos_neg())
+        strict, surplus = validator._count_pos_neg(t)
         segments = [(*a, *b) for pts in d.polylines().tolist() for a, b in zip(pts, pts[1:])]
         want, touches = np.zeros((8, 8), dtype=np.int64), 0
         for i in t.groups[validator._POS].idx.tolist():
@@ -536,8 +543,8 @@ class TestCountFirst:
 
 
 class TestHelperThread:
-    # Filtered validation counts POS x NEG on one helper thread while the
-    # calling thread sweeps the other family pairs.
+    # Validation runs on the calling thread in both modes: an error in any
+    # stage reaches the caller, and no thread is left behind.
 
     @pytest.mark.parametrize("where", ["_count_pos_neg", "_confirm_general"])
     def test_error_in_either_thread_is_raised_and_joined(self, k16, where, monkeypatch):
@@ -550,20 +557,19 @@ class TestHelperThread:
             validate(k16, FILTERED)
         assert threading.active_count() == before
 
-    def test_one_thread_per_filtered_run_none_for_brute(self, monkeypatch):
+    def test_validate_starts_no_thread(self, monkeypatch):
         started = []
+        start = threading.Thread.start
 
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def spy(thread):
+            started.append(thread)
+            start(thread)
 
-        monkeypatch.setattr(validator.threading, "Thread", Spy)
+        monkeypatch.setattr(threading.Thread, "start", spy)
         d = draw_complete(5)
-        validate(d, FILTERED)
-        assert len(started) == 1 and not started[0].is_alive()
-        validate(d, BRUTE)
-        assert len(started) == 1
+        for mode in (FILTERED, BRUTE):
+            validate(d, mode).to_json_bytes()
+        assert started == []
 
     def test_modes_agree_under_fast_thread_switching(self, k16):
         corrupted = []
