@@ -10,10 +10,12 @@ Drawing documents are JSON with every numeric value encoded as a decimal
 integer string: coordinates can exceed 2**53, and downstream consumers must
 not be tempted into lossy float parsing. Serialization is byte-stable
 (sorted keys, fixed separators), so identical drawings produce identical
-files. A document repeats some values the layout derives from ``n`` and the
-vertex ids (``l``, ``params``, vertex ``level``/``pos``, edge ``k``); the
-loader accepts them only when they equal the derived values, so every
-accepted document is exactly the one its drawing writes back.
+files; the vertex and edge rows are written as byte matrices by
+``model.json_rows``, straight from the drawing's arrays. A document repeats
+some values the layout derives from ``n`` and the vertex ids (``l``,
+``params``, vertex ``level``/``pos``, edge ``k``); the loader accepts them
+only when they equal the derived values, so every accepted document is
+exactly the one its drawing writes back.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import re
 
 import numpy as np
 
-from .layout import GraphInput, first_bend_index, params_from_n
-from .model import Drawing, int_column
+from .layout import GraphInput, first_bend_index, params_from_n, vertex_slot
+from .model import Drawing, digit_matrix, int_column, json_rows
 
 SCHEMA = "rac-drawing/1"
 
@@ -263,35 +265,49 @@ def document_to_drawing(doc: dict) -> Drawing:
     )
 
 
-# One edge of the document: six bends, then k, source and target.
-_EDGE_TEMPLATE = (
-    '{"bends":[' + ",".join(['["%d","%d"]'] * 6) + '],"k":"%d","source":"%d","target":"%d"}'
-)
-
-
 def dumps_drawing(d: Drawing) -> str:
     """Byte-stable JSON text for a drawing (no trailing newline).
 
-    Written straight from the arrays, as ``json.dumps`` with sorted keys and
-    separators ``(",", ":")`` would write the document: every key and value
-    is a fixed ASCII name or a decimal integer string, so nothing needs
-    escaping.
+    Written as ``json.dumps`` with sorted keys and separators ``(",", ":")``
+    would write the document: every key and value is a fixed ASCII name or
+    a decimal integer string, so nothing needs escaping. The vertex and
+    edge rows are spelled by ``json_rows`` straight from the arrays, a
+    chunk of rows at a time.
     """
     n, m, l = d.n, d.m, d.l
-    s = l * l
     params = ",".join(f'"{key}":"{v}"' for key, v in sorted(params_from_n(n).items()))
-    vertices = ",".join(
-        f'{{"id":"{v}","level":"{v // s + 1}","pos":"{v % s + 1}","x":"{x}","y":"{y}"}}'
-        for v, (x, y) in enumerate(d.vertices.tolist())
+    ids = np.arange(n, dtype=np.int64)
+    level, pos = vertex_slot(l, ids)
+    vertices = json_rows(
+        n,
+        (
+            b'{"id":"', (digit_matrix, ids),
+            b'","level":"', (digit_matrix, level),
+            b'","pos":"', (digit_matrix, pos),
+            b'","x":"', (digit_matrix, d.vertices[:, 0]),
+            b'","y":"', (digit_matrix, d.vertices[:, 1]),
+            b'"}',
+        ),
     )
-    edges = ",".join(
-        _EDGE_TEMPLATE % (*bends, first_bend_index(l, b), a, b)
-        for (a, b), bends in zip(d.endpoints.tolist(), d.bends.reshape(-1, 12).tolist())
+    # Bends a..f as ["x","y"] pairs, then k, source and target.
+    bends = d.bends.reshape(-1, 12)
+    source, target = d.endpoints[:, 0], d.endpoints[:, 1]
+    pieces = [b'{"bends":[["']
+    for c in range(12):
+        pieces += (digit_matrix, bends[:, c]), (b'","' if c % 2 == 0 else b'"],["')
+    pieces[-1] = b'"]],"k":"'
+    pieces += (
+        (digit_matrix, first_bend_index(l, target)),
+        b'","source":"', (digit_matrix, source),
+        b'","target":"', (digit_matrix, target),
+        b'"}',
     )
-    return (
-        f'{{"edges":[{edges}],"l":"{l}","m":"{m}","n":"{n}","params":{{{params}}},'
-        f'"schema":"{SCHEMA}","vertices":[{vertices}]}}'
-    )
+    edges = json_rows(m, tuple(pieces))
+    middle = (
+        f'],"l":"{l}","m":"{m}","n":"{n}","params":{{{params}}},'
+        f'"schema":"{SCHEMA}","vertices":['
+    ).encode("ascii")
+    return b"".join((b'{"edges":[', *edges, middle, *vertices, b"]}")).decode("ascii")
 
 
 def loads_drawing(text: str) -> Drawing:

@@ -10,6 +10,12 @@ points, the endpoint ids of each edge, and the six bends of each edge.
 Everything else (``l``, the grid constants, vertex slots, the first-bend
 index ``k``, the 8-point polylines) is derived from them on demand.
 
+JSON rows (a report's crossings here, a document's vertices and edges in
+``io``) are written by one column writer, ``json_rows``: each integer
+column is spelled as a uint8 digit matrix, fixed key text is broadcast
+between the columns, and the non-NUL bytes of each chunk's matrix are its
+rows. No row is ever a Python string.
+
 All types are immutable values and safe to share across threads.
 """
 
@@ -154,14 +160,85 @@ class Defect:
         return (self.kind.value, self.participants, self.location)
 
 
-def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
-    """``str(Fraction(num[k], den[k]))`` for each k, den > 0, over two
-    columns (int64, object or mixed), with one vector gcd and no Fraction."""
+# Rows spelled per chunk by ``json_rows``: bounds the byte matrices held at
+# once, so a long listing costs no more than its output.
+_ROW_CHUNK = 1 << 16
+_NUL, _MINUS, _SLASH, _ZERO = 0, ord("-"), ord("/"), ord("0")
+
+
+def digit_matrix(col: np.ndarray) -> np.ndarray:
+    """A uint8 matrix whose row k, with its NUL bytes dropped, is
+    ``str(col[k])``.
+
+    An int64 column is spelled right-aligned, by vector division of its
+    magnitudes, behind a column of "-" or NUL; an object column (Python
+    ints, some above int64) by ``str`` per value, left-aligned.
+    """
+    if col.dtype == object:
+        text = col.astype("S")
+        return text.view(np.uint8).reshape(len(col), text.itemsize)
+    # abs wraps -2**63 to itself, which reads as 2**63 in uint64.
+    mag = np.abs(col).view(np.uint64)
+    width = len(str(int(mag.max(initial=0))))
+    # Built one digit place per row, and handed out transposed.
+    out = np.empty((width + 1, len(col)), dtype=np.uint8)
+    out[0] = np.where(col < 0, _MINUS, _NUL)
+    for k in range(width, 0, -1):
+        rest = mag // 10
+        digit = (mag - rest * 10).astype(np.uint8) + _ZERO
+        if k < width:
+            # A leading zero: nothing was left to divide.
+            digit *= mag != 0
+        out[k] = digit
+        mag = rest
+    return out.T
+
+
+def ratio_matrix(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``digit_matrix`` of ``str(Fraction(num[k], den[k]))``, den > 0: "a"
+    or "a/b" in lowest terms, over int64, object or mixed columns."""
     g = np.gcd(num, den)
-    return [
-        str(a) if b == 1 else f"{a}/{b}"
-        for a, b in zip((num // g).tolist(), (den // g).tolist())
-    ]
+    num, den = num // g, den // g
+    whole = den == 1
+    denominator = digit_matrix(den)
+    denominator[whole] = _NUL
+    slash = np.where(whole, _NUL, _SLASH).astype(np.uint8)[:, None]
+    return np.concatenate((digit_matrix(num), slash, denominator), axis=1)
+
+
+def json_rows(n: int, pieces: tuple) -> list[bytes]:
+    """Rows 0..n-1 of a JSON array, joined by commas, as byte chunks.
+
+    Each piece is a bytes literal, the same in every row, or a tuple
+    ``(spell, *columns)``: ``spell`` maps the columns' rows lo:hi to a uint8
+    matrix as ``digit_matrix`` does. Each chunk of ``_ROW_CHUNK`` rows is
+    one matrix of the pieces side by side, behind a column of commas, and
+    its bytes are the matrix's non-NUL bytes; no row is a Python string.
+    """
+    chunks = []
+    for lo in range(0, n, _ROW_CHUNK):
+        hi = min(n, lo + _ROW_CHUNK)
+        comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
+        if lo == 0:
+            comma[0] = _NUL
+        parts = [comma]
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                literal = np.frombuffer(piece, dtype=np.uint8)
+                parts.append(np.broadcast_to(literal, (hi - lo, len(piece))))
+            else:
+                spell, *cols = piece
+                parts.append(spell(*(c[lo:hi] for c in cols)))
+        m = np.concatenate(parts, axis=1)
+        chunks.append(m.tobytes().translate(None, b"\0"))
+    return chunks
+
+
+def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
+    """``str(Fraction(num[k], den[k]))`` for each k, den > 0, spelled as the
+    report spells them."""
+    text = b"".join(json_rows(len(num), ((ratio_matrix, num, den),)))
+    return text.decode("ascii").split(",") if len(num) else []
 
 
 def format_point(x: int, y: int) -> str:
@@ -169,13 +246,13 @@ def format_point(x: int, y: int) -> str:
     return f"{x},{y}"
 
 
-# One crossing of a report, keys in sorted order: class_a, class_b, edge_a,
-# edge_b, perpendicular, x, y.
-_CROSSING_TEMPLATE = (
-    '{"class_a":"S%d","class_b":"S%d","edge_a":%d,"edge_b":%d,'
-    '"perpendicular":%s,"x":"%s","y":"%s"}'
-)
-_JSON_BOOL = ("false", "true")
+# JSON false and true, indexed by a bool column.
+_JSON_BOOLS = np.frombuffer(b"false" + b"true\0", dtype=np.uint8).reshape(2, 5)
+
+
+def _json_bool(col: np.ndarray) -> np.ndarray:
+    return _JSON_BOOLS[col.astype(np.intp)]
+
 
 # Listing takes six column entries per crossing: K81's 5,261,870 fit, and
 # K256's 529,142,968 (about 25 GB) are refused.
@@ -263,38 +340,45 @@ class CrossingReport:
     def to_json_bytes(self) -> bytes:
         """The canonical ``rac-report/1`` bytes.
 
-        Written straight from the columns, as ``json.dumps`` with sorted
-        keys and separators ``(",", ":")`` would write the report: every
-        key is a fixed name and every value a generated integer, a fixed
-        name (class, defect kind, true/false) or a generated label
-        ("segment:3:S2", "-5/7,12"), so nothing needs escaping.
+        Written as ``json.dumps`` with sorted keys and separators
+        ``(",", ":")`` would write the report: every key is a fixed name and
+        every value a generated integer, a fixed name (class, defect kind,
+        true/false) or a generated label ("segment:3:S2", "-5/7,12"), so
+        nothing needs escaping. The crossings are spelled by ``json_rows``
+        straight from the columns, a chunk of rows at a time.
         """
         xmin, xmax, ymin, ymax = self.bbox
         pairs = ",".join(f'"{k}":{self.pair_counts[k]}' for k in sorted(self.pair_counts))
         ea, eb, ca, cb, x, y, den, perp = self._columns()
-        crossings = ",".join(
-            _CROSSING_TEMPLATE % (c, e, a, b, _JSON_BOOL[p], xs, ys)
-            for a, b, c, e, p, xs, ys in zip(
-                ea.tolist(),
-                eb.tolist(),
-                ca.tolist(),
-                cb.tolist(),
-                perp.tolist(),
-                _ratio_strings(x, den),
-                _ratio_strings(y, den),
-            )
+        # Keys in sorted order: class_a, class_b, edge_a, edge_b,
+        # perpendicular, x, y.
+        crossings = json_rows(
+            len(ea),
+            (
+                b'{"class_a":"S', (digit_matrix, ca),
+                b'","class_b":"S', (digit_matrix, cb),
+                b'","edge_a":', (digit_matrix, ea),
+                b',"edge_b":', (digit_matrix, eb),
+                b',"perpendicular":', (_json_bool, perp),
+                b',"x":"', (ratio_matrix, x, den),
+                b'","y":"', (ratio_matrix, y, den),
+                b'"}',
+            ),
         )
         violations = ",".join(
             '{"kind":"%s","location":[%s],"participants":[%s]}'
             % (d.kind.value, _json_strings(d.location), _json_strings(d.participants))
             for d in self.violations
         )
-        return (
+        head = (
             f'{{"bbox":{{"xmax":"{xmax}","xmin":"{xmin}","ymax":"{ymax}","ymin":"{ymin}"}},'
-            f'"crossing_count":{self.crossing_count},"crossings":[{crossings}],'
-            f'"m":{self.m},"n":{self.n},"pair_counts":{{{pairs}}},'
+            f'"crossing_count":{self.crossing_count},"crossings":['
+        )
+        tail = (
+            f'],"m":{self.m},"n":{self.n},"pair_counts":{{{pairs}}},'
             f'"schema":"rac-report/1","violations":[{violations}]}}'
-        ).encode("ascii")
+        )
+        return b"".join((head.encode("ascii"), *crossings, tail.encode("ascii")))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossingReport):

@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterator
 
 import numpy as np
@@ -296,9 +296,13 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
 # ---------------------------------------------------------------------------
 
 
-def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects: list) -> None:
+def _finish_pairs(
+    t: _Table, i: np.ndarray | int, j: np.ndarray, found: list, defects: list
+) -> None:
     """Classify the segment pairs (i[k], j[k]) exactly with ``_classify``, in
-    Python ints read from the table's columns with one ``tolist`` each.
+    Python ints read from the table's columns with one ``tolist`` each. ``i``
+    may also be one segment, paired with every j[k] (a row of the brute
+    scan), whose four ints are then read once.
 
     Touches and collinear overlaps are reported. The proper crossings are
     appended to ``found`` as one chunk of columns (segment_a, segment_b,
@@ -310,18 +314,18 @@ def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects:
     """
     # map hands the eight columns straight to _classify and compress picks
     # out the pairs that meet, both without a Python-level loop per pair.
-    ends = [col[k].tolist() for k in (i, j) for col in t.coords]
-    results = list(map(_classify, *ends))
+    row = np.ndim(i) == 0
+    left = [repeat(int(col[i])) if row else col[i].tolist() for col in t.coords]
+    right = [col[j].tolist() for col in t.coords]
+    results = list(map(_classify, *left, *right))
     hits = list(compress(range(len(results)), results))
     proper = []
-    for k, a, b in zip(hits, i[hits].tolist(), j[hits].tolist()):
+    for k, a, b in zip(hits, repeat(int(i)) if row else i[hits].tolist(), j[hits].tolist()):
         res = results[k]
         if res[0] == "shared":
             continue
         if res[0] == "proper":
-            ax, ay, bx, by, cx, cy, dx, dy = (col[k] for col in ends)
-            perp = (bx - ax) * (dx - cx) + (by - ay) * (dy - cy) == 0
-            proper.append((a, b, res[1], res[2], res[3], perp))
+            proper.append((a, b, *res[1:]))
             continue
         touch = res[0] == "touch"
         kind = DefectKind.ENDPOINT_TOUCHES_INTERIOR if touch else DefectKind.COLLINEAR_OVERLAP
@@ -329,9 +333,11 @@ def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects:
         defects.append(Defect(kind, _pair_labels(t, a, b), points))
     if not proper:
         return
-    *ints, perp = zip(*proper)
-    a, b, xn, yn, den = (int_column(c) for c in ints)
-    perp = np.array(perp, dtype=bool)
+    a, b, xn, yn, den = (int_column(c) for c in zip(*proper))
+    # Exact on the table's dtype, which bounds 8 * max_abs**2.
+    AX, AY, BX, BY = t.coords
+    dot = (BX[a] - AX[a]) * (BX[b] - AX[b]) + (BY[a] - AY[a]) * (BY[b] - AY[b])
+    perp = dot == 0
     found.append((a, b, xn, yn, den, perp))
     allowed = _ALLOWED[t.classes[a], t.classes[b]]
     bad = np.flatnonzero(~perp | ~allowed)
@@ -608,8 +614,7 @@ def _run_brute(t: _Table, found: list, defects: list) -> None:
     upper triangle at a time."""
     act = np.flatnonzero(t.family != _ZERO)
     for k in range(len(act) - 1):
-        rest = act[k + 1 :]
-        _finish_pairs(t, np.full(len(rest), act[k]), rest, found, defects)
+        _finish_pairs(t, act[k], act[k + 1 :], found, defects)
 
 
 def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
@@ -29,6 +30,7 @@ from racdraw import (
     write_drawing,
 )
 from racdraw.io import document_to_drawing, drawing_to_document
+from racdraw.layout import first_bend_index, params_from_n, vertex_slot
 
 # SHA-256 of dumps_drawing(draw_complete(n)), as recorded in the benchmark's
 # COMPLETE_FIGURES (racbench/workloads.py).
@@ -37,6 +39,65 @@ COMPLETE_DIGESTS = {
     81: "62fefcceac22e251487be88eec090c6658f1c266147cefbb89ecc597dd14e03c",
     256: "dc46fc26ed530d104cf208c6d8e527a44bdd04b9ab4a23e4b07f24d5ad8e19bf",
 }
+
+
+def _oracle_document(d: Drawing) -> str:
+    """The document as ``json.dumps`` writes it, from a dict built field by
+    field, independently of ``dumps_drawing``."""
+    l = d.l
+    vertices = []
+    for v, (x, y) in enumerate(d.vertices.tolist()):
+        level, pos = vertex_slot(l, v)
+        vertices.append(
+            {"id": str(v), "level": str(level), "pos": str(pos), "x": str(x), "y": str(y)}
+        )
+    edges = [
+        {
+            "source": str(a),
+            "target": str(b),
+            "k": str(first_bend_index(l, b)),
+            "bends": [[str(x), str(y)] for x, y in bends],
+        }
+        for (a, b), bends in zip(d.endpoints.tolist(), d.bends.tolist())
+    ]
+    doc = {
+        "schema": "rac-drawing/1",
+        "n": str(d.n),
+        "m": str(d.m),
+        "l": str(l),
+        "params": {key: str(value) for key, value in params_from_n(d.n).items()},
+        "vertices": vertices,
+        "edges": edges,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+class TestDumpsOracle:
+    # The drawing writer spells every row as json.dumps does, across int64
+    # signs and edges, object ints, and an empty edge list.
+
+    def test_negative_and_int64_edge_coordinates(self):
+        d = draw_graph(GraphInput(20, ((0, 19), (3, 7), (5, 18))))
+        vertices = d.vertices - 10**9
+        vertices[1] = (-(2**63), 2**63 - 1)
+        vertices[2] = (-1, -10)
+        moved = Drawing(vertices, d.endpoints, d.bends - 10**9)
+        assert moved.vertices.dtype == moved.bends.dtype == np.int64
+        assert dumps_drawing(moved) == _oracle_document(moved)
+
+    def test_object_coordinates(self):
+        d = draw_graph(GraphInput(20, ((0, 19), (3, 7))))
+        bends = d.bends.astype(object)
+        bends[1, 2] = (2**70, -(2**70))
+        moved = Drawing(d.vertices, d.endpoints, bends)
+        assert moved.bends.dtype == object
+        assert dumps_drawing(moved) == _oracle_document(moved)
+
+    def test_no_edges(self):
+        d = draw_graph(GraphInput(7))
+        text = dumps_drawing(d)
+        assert text == _oracle_document(d)
+        assert '"edges":[]' in text
 
 
 class TestParseEdgeList:

@@ -1,19 +1,46 @@
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import racdraw.model
+import test_validator
 from racdraw import (
     Drawing,
     GraphInput,
     draw_complete,
     draw_graph,
     params_from_n,
+    validate,
     vertex_slot,
 )
 from racdraw.io import document_to_drawing, drawing_to_document
-from racdraw.model import LISTING_LIMIT, CrossingReport, _ratio_strings
+from racdraw.model import LISTING_LIMIT, CrossingReport, _ratio_strings, digit_matrix
+
+
+def _spelled(matrix) -> list[str]:
+    return [bytes(row[row != 0]).decode("ascii") for row in matrix]
+
+
+# The int64 edges of the digit matrix: one digit, a carry into two, the
+# widest magnitudes, and -2**63, whose magnitude exceeds int64.
+INT64_EDGES = [0, 1, -1, 9, -9, 10, -10, 10**18, -(10**18), 2**63 - 1, -(2**63)]
+
+
+def test_digit_matrix_spells_int64_edges():
+    col = np.array(INT64_EDGES, dtype=np.int64)
+    assert _spelled(digit_matrix(col)) == [str(v) for v in INT64_EDGES]
+    for v in INT64_EDGES:
+        # Alone, each value sets the matrix width.
+        assert _spelled(digit_matrix(np.array([v], dtype=np.int64))) == [str(v)]
+
+
+def test_digit_matrix_spells_object_ints():
+    values = [2**70, -(2**70), 0, -1, 10, 2**63, -(2**63) - 1]
+    col = np.array(values, dtype=object)
+    assert _spelled(digit_matrix(col)) == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -27,6 +54,82 @@ def test_ratio_strings_match_fraction(dtype):
     for den_dtype in (dtype, np.int64):
         got = _ratio_strings(np.array(num, dtype=dtype), np.array(den, dtype=den_dtype))
         assert got == want
+
+
+def _oracle_report_bytes(report) -> bytes:
+    """The report as ``json.dumps`` writes it, from ``listing()`` and
+    ``Fraction``, independently of the report's own writer."""
+    xmin, xmax, ymin, ymax = report.bbox
+    ea, eb, ca, cb, x, y, den, perp = report.listing()
+    doc = {
+        "bbox": {"xmin": str(xmin), "xmax": str(xmax), "ymin": str(ymin), "ymax": str(ymax)},
+        "crossing_count": report.crossing_count,
+        "crossings": [
+            {
+                "class_a": f"S{row[2]}",
+                "class_b": f"S{row[3]}",
+                "edge_a": row[0],
+                "edge_b": row[1],
+                "perpendicular": row[7],
+                "x": str(Fraction(row[4], row[6])),
+                "y": str(Fraction(row[5], row[6])),
+            }
+            for row in zip(ea, eb, ca, cb, x, y, den, perp)
+        ],
+        "m": report.m,
+        "n": report.n,
+        "pair_counts": report.pair_counts,
+        "schema": "rac-report/1",
+        "violations": [
+            {
+                "kind": d.kind.value,
+                "location": list(d.location),
+                "participants": list(d.participants),
+            }
+            for d in report.violations
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+def _oracle_cases():
+    k16 = draw_complete(16)
+    corrupted = {}
+    for name, (_, moves) in test_validator.TestMagnitudeRegimes.CORRUPTIONS.items():
+        bad = k16
+        for edge, index, point in moves:
+            bad = test_validator._replace_bend(bad, edge, index, point)
+        corrupted[name] = bad
+    return {
+        "k16": k16,
+        **{f"c6-{i}": d for i, d in enumerate(test_validator._c6_drawings())},
+        **corrupted,
+        "k16-moved-2^70": test_validator._transform(k16, 1 << 70, -(1 << 70)),
+        "no-crossings": draw_graph(GraphInput(5, ((0, 4),))),
+    }
+
+
+class TestReportWriterOracle:
+    # Every chunk size writes the bytes json.dumps writes: one row per
+    # chunk, chunks of 7 that split every listing, and the default.
+    CASES = _oracle_cases()
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_match_json_dumps(self, name, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(racdraw.model, "_ROW_CHUNK", chunk)
+        report = validate(self.CASES[name])
+        assert report.to_json_bytes() == _oracle_report_bytes(report)
+
+    def test_cases_cover_every_row_form(self):
+        reports = {name: validate(d) for name, d in self.CASES.items()}
+        assert b'"crossings":[]' in reports["no-crossings"].to_json_bytes()
+        assert b'"perpendicular":false' in reports["bent"].to_json_bytes()
+        corruptions = test_validator.TestMagnitudeRegimes.CORRUPTIONS
+        assert all(not reports[name].ok for name in corruptions)
+        assert reports["k16-moved-2^70"]._columns()[4].dtype == object
+        assert reports["k16"]._columns()[4].dtype == np.int64
 
 
 @pytest.mark.parametrize("write", ["listing", "to_json_bytes"])
