@@ -8,19 +8,18 @@ Edge-list text format::
 
 Drawing documents are JSON with every numeric value encoded as a decimal
 integer string: coordinates can exceed 2**53, and downstream consumers must
-not be tempted into lossy float parsing. Serialization is byte-stable
-(sorted keys, fixed separators), so identical drawings produce identical
-files; the vertex and edge rows are written as byte matrices by
-``model.json_rows``, straight from the drawing's arrays. A document repeats
-some values the layout derives from ``n`` and the vertex ids (``l``,
-``params``, vertex ``level``/``pos``, edge ``k``); the loader accepts them
-only when they equal the derived values, so every accepted document is
-exactly the one its drawing writes back.
+not be tempted into lossy float parsing. ``dumps_drawing`` writes the one
+canonical document of a drawing. ``loads_drawing`` accepts a text only if
+it is exactly the writer's text for the arrays read from it, plus at most
+one trailing newline; that one comparison is the whole schema check, so key
+sets, id order, the fields derived from ``n`` and the ids and every
+integer's spelling hold by construction.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import numpy as np
@@ -167,104 +166,6 @@ def _read_int(value, context: str) -> int:
         raise IntegerTooLongError(context, len(value.lstrip("-"))) from None
 
 
-def _check_derived(value, expected: int, context: str) -> None:
-    """Accept ``value`` only as the canonical string of ``expected``."""
-    if value != str(expected):
-        _read_int(value, context)
-        raise DerivedFieldError(context, value, expected)
-
-
-_VERTEX_KEYS = {"id", "level", "pos", "x", "y"}
-_EDGE_KEYS = {"source", "target", "k", "bends"}
-
-
-def drawing_to_document(d: Drawing) -> dict:
-    """Plain-dict document form of a drawing, all numbers as strings."""
-    return json.loads(dumps_drawing(d))
-
-
-def document_to_drawing(doc: dict) -> Drawing:
-    """Rebuild a Drawing from its document form, validating the schema.
-
-    Geometry is taken at face value (certification is the validator's job).
-    Structure and integer encoding are enforced, vertices must be listed in
-    id order, and every derived field must equal the value derived from
-    ``n`` and the ids, so ``drawing_to_document`` gives back exactly the
-    document that was read.
-    """
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise DocumentError(f"schema mismatch: expected {SCHEMA!r}")
-    expected_keys = {"schema", "n", "m", "l", "params", "vertices", "edges"}
-    if set(doc) != expected_keys:
-        raise DocumentError(
-            f"unexpected document keys: {sorted(set(doc) ^ expected_keys)}"
-        )
-    n = _read_int(doc["n"], "n")
-    m = _read_int(doc["m"], "m")
-    if n < 1:
-        raise DocumentError("empty graph: n must be at least 1")
-    params = params_from_n(n)
-    praw = doc["params"]
-    if not isinstance(praw, dict) or set(praw) != set(params):
-        raise DocumentError(f"params must be an object with keys {sorted(params)}")
-    for key, value in params.items():
-        _check_derived(praw[key], value, f"params.{key}")
-    l = params["l"]
-    _check_derived(doc["l"], l, "l")
-
-    vraw = doc["vertices"]
-    if not isinstance(vraw, list) or len(vraw) != n:
-        raise DocumentError("vertices must list exactly n entries")
-    s = l * l
-    slots = [str(i) for i in range(1, s + 1)]
-    points: list[int] = []
-    for v, entry in enumerate(vraw):
-        if not isinstance(entry, dict) or entry.keys() != _VERTEX_KEYS:
-            raise DocumentError(f"bad vertex entry: {entry!r}")
-        if entry["id"] != str(v):
-            _read_int(entry["id"], "vertex.id")
-            raise DocumentError(
-                f"vertex entry {v} has id {entry['id']}; vertices must be listed by id"
-            )
-        if entry["level"] != slots[v // s]:
-            _check_derived(entry["level"], v // s + 1, "vertex.level")
-        if entry["pos"] != slots[v % s]:
-            _check_derived(entry["pos"], v % s + 1, "vertex.pos")
-        points.append(_read_int(entry["x"], "vertex.x"))
-        points.append(_read_int(entry["y"], "vertex.y"))
-
-    eraw = doc["edges"]
-    if not isinstance(eraw, list) or len(eraw) != m:
-        raise DocumentError("edges must list exactly m entries")
-    ends: list[int] = []
-    bends: list[int] = []
-    for entry in eraw:
-        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
-            raise DocumentError(f"bad edge entry: {entry!r}")
-        src = _read_int(entry["source"], "edge.source")
-        dst = _read_int(entry["target"], "edge.target")
-        if not (0 <= src < n and 0 <= dst < n) or src == dst:
-            raise DocumentError(f"bad edge endpoints ({src}, {dst})")
-        _check_derived(entry["k"], first_bend_index(l, dst), "edge.k")
-        bends_raw = entry["bends"]
-        if not isinstance(bends_raw, list) or len(bends_raw) != 6:
-            raise DocumentError("each edge needs exactly 6 bends")
-        for pair in bends_raw:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise DocumentError(f"bad bend entry: {pair!r}")
-            bends.append(_read_int(pair[0], "bend.x"))
-            bends.append(_read_int(pair[1], "bend.y"))
-        ends.append(src)
-        ends.append(dst)
-    return Drawing(
-        int_column(points).reshape(-1, 2),
-        np.array(ends, dtype=np.int64).reshape(-1, 2),
-        int_column(bends).reshape(-1, 6, 2),
-    )
-
-
 def dumps_drawing(d: Drawing) -> str:
     """Byte-stable JSON text for a drawing (no trailing newline).
 
@@ -310,12 +211,110 @@ def dumps_drawing(d: Drawing) -> str:
     return b"".join((b'{"edges":[', *edges, middle, *vertices, b"]}")).decode("ascii")
 
 
-def loads_drawing(text: str) -> Drawing:
+# Vertex x/y, edge source/target and bend x/y where the writer puts them.
+# A value may be any JSON scalar without a comma, so that a misspelt one is
+# read in its place; ``sep`` is the text between the two, quotes dropped.
+_COLUMNS = (
+    (re.compile(r'"x":([^,]*,"y":[^,}]*)'), ",y:"),
+    (re.compile(r'"source":([^,]*,"target":[^,}]*)'), ",target:"),
+    (re.compile(r"\[([^],[]*,[^],[]*)\]"), ","),
+)
+_PREFIX = dict.fromkeys(params_from_n(1), "params.")
+_PREFIX.update(dict.fromkeys(("id", "level", "pos", "x", "y"), "vertex."))
+_PREFIX.update(dict.fromkeys(("bends", "k", "source", "target"), "edge."))
+
+
+def _int(word: str) -> int:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}")
-    return document_to_drawing(doc)
+        return int(word)
+    except ValueError:
+        return -1
+
+
+def _ints(words: list[str]) -> np.ndarray:
+    """``words`` as an integer column; a word ``int`` cannot read is -1,
+    which no canonical document spells that way."""
+    try:
+        return int_column(list(map(int, words)))
+    except ValueError:
+        return int_column(list(map(_int, words)))
+
+
+def _name(tokens: list[str], j: int) -> str:
+    """The name of the field that string ``j`` of a canonical document split
+    on '"' is the key or the value of."""
+    at = j if tokens[j + 1][:1] == ":" else j - 2
+    if at < j and tokens[j - 1] != ":":
+        return "bend.y" if tokens[j - 1] == "," else "bend.x"
+    key = tokens[at]
+    # "l" is a params key after a comma, and a top-level one after the edges.
+    prefix = "" if key == "l" and tokens[at - 1] != "," else _PREFIX.get(key, "")
+    return prefix + key
+
+
+def _reject(text: str, canonical: str) -> None:
+    """Raise the typed error for the first byte where ``text`` departs from
+    ``canonical``, the writer's text for the arrays read from ``text``."""
+    i = len(os.path.commonprefix((text, canonical)))
+    # Byte i lies in string t of canonical.split('"') if t is odd, and
+    # after string t - 1 if t is even; an opening quote starts its string.
+    t = canonical.count('"', 0, i)
+    t += t % 2 == 0 and canonical[i : i + 1] == '"'
+    tokens = canonical.split('"', t + 1)
+    name = _name(tokens, t - 1 + t % 2) if t and i < len(canonical) else "document"
+    if t % 2 and tokens[t + 1][:1] != ":":
+        try:
+            value = json.JSONDecoder().raw_decode(text, len('"'.join(tokens[:t])))[0]
+        except ValueError:
+            pass
+        else:
+            if name == "schema":
+                raise DocumentError(f"schema mismatch: expected {SCHEMA!r}")
+            _read_int(value, name)
+            if name in ("l", "vertex.level", "vertex.pos", "edge.k") or name.startswith("params."):
+                raise DerivedFieldError(name, value, int(tokens[t]))
+            if name == "vertex.id":
+                raise DocumentError(f"vertex.id is {value!r}: vertices must be listed by id")
+            if name == "n" and int(value) < 1:
+                raise DocumentError("empty graph: n must be at least 1")
+            if name in ("n", "m"):
+                raise DocumentError(f"{name} is {value!r}, but {tokens[t]} entries were read")
+    if name.startswith("bend."):
+        raise DocumentError(f"{name} at byte {i}: each edge needs exactly 6 bends of 2 integers")
+    raise DocumentError(
+        f"{name} at byte {i}: not the canonical document; write it as "
+        'dumps_drawing does, with sorted keys and separators "," and ":"'
+    )
+
+
+def loads_drawing(text: str) -> Drawing:
+    """The drawing whose canonical document is ``text``: the vertex points,
+    edge endpoints and bends, read from where ``dumps_drawing`` puts them,
+    if ``dumps_drawing`` writes ``text`` for them (one trailing newline
+    aside). Otherwise a ``DocumentError`` names the first field where
+    ``text`` departs from the writer's text."""
+    body = text[:-1] if text.endswith("\n") else text
+    points, ends, bends = (
+        sep.join(found).replace('"', "").split(sep) if (found := pattern.findall(body)) else []
+        for pattern, sep in _COLUMNS
+    )
+    # With no vertex read, compare with a one-vertex drawing. Bends past the
+    # edges read are dropped, and missing ones read as -1.
+    n, m = max(len(points) // 2, 1), len(ends) // 2
+    points, bends = points or ["0", "0"], (bends + ["-1"] * (12 * m - len(bends)))[: 12 * m]
+    endpoints = _ints(ends).reshape(-1, 2)
+    bad = (endpoints < 0) | (endpoints >= n)
+    bad[:, 1] |= endpoints[:, 0] == endpoints[:, 1]
+    if bad.any():
+        e, side = np.argwhere(bad)[0].tolist()
+        context = ("edge.source", "edge.target")[side]
+        _read_int(ends[2 * e + side], context)
+        raise DocumentError(f"{context} of edge {e}: need two distinct vertex ids below {n}")
+    d = Drawing(_ints(points).reshape(-1, 2), endpoints, _ints(bends).reshape(-1, 6, 2))
+    canonical = dumps_drawing(d)
+    if canonical != body:
+        _reject(body, canonical)
+    return d
 
 
 def write_drawing(d: Drawing, path: str) -> None:

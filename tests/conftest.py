@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,14 @@ from time import perf_counter
 
 import pytest
 
-from racdraw import GraphInput, ValidationMode, draw_complete, validate
+from racdraw import (
+    GraphInput,
+    ValidationMode,
+    draw_complete,
+    dumps_drawing,
+    loads_drawing,
+    validate,
+)
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +68,18 @@ def pair_payload(result):
     if tag == "overlap":
         return tag, frozenset(((ints[0], ints[1]), (ints[2], ints[3])))
     return tag, tuple(ints)
+
+
+def doc_of(d):
+    """The document of drawing ``d`` as a JSON tree, for a test to edit."""
+    return json.loads(dumps_drawing(d))
+
+
+def canonical_text(doc) -> str:
+    """A JSON tree written as ``dumps_drawing`` writes a document: sorted
+    keys and separators "," and ":"."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def load_doc(doc):
+    return loads_drawing(canonical_text(doc))

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import pytest
 
-from conftest import random_graph
+from conftest import doc_of, load_doc, random_graph
 from racdraw import (
     SvgOptions,
     ValidationMode,
@@ -31,7 +31,6 @@ from racdraw import (
     vertex_slot,
 )
 from racdraw.cli import bench_rows
-from racdraw.io import document_to_drawing, drawing_to_document
 
 BRUTE = ValidationMode.BRUTE_FORCE
 FILTERED = ValidationMode.FILTERED
@@ -174,8 +173,8 @@ def test_criterion_6_oracle_equivalence(k16, k16_filtered, k16_brute):
 
 def test_criterion_7_mutation_sensitivity(k16):
     with criterion("C7 mutation sensitivity (>= 95/100)"):
-        doc = drawing_to_document(k16)
-        baseline = validate(document_to_drawing(doc), FILTERED).to_json_bytes()
+        doc = doc_of(k16)
+        baseline = validate(load_doc(doc), FILTERED).to_json_bytes()
         slots = []
         for vi in range(len(doc["vertices"])):
             slots.append(("v", vi, "x"))
@@ -196,7 +195,7 @@ def test_criterion_7_mutation_sensitivity(k16):
             else:
                 bends = mutated["edges"][slot[1]]["bends"]
                 bends[slot[2]][slot[3]] = str(int(bends[slot[2]][slot[3]]) + delta)
-            report = validate(document_to_drawing(mutated), FILTERED)
+            report = validate(load_doc(mutated), FILTERED)
             if report.violations or report.to_json_bytes() != baseline:
                 detected += 1
         assert detected >= 95, f"only {detected}/100 mutations detected"

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import canonical_text
 from racdraw import cli
 from racdraw.cli import main
 
@@ -85,7 +86,7 @@ class TestValidate:
         doc = json.loads(k16_file.read_text())
         doc["edges"][3]["bends"][1][0] = str(int(doc["edges"][3]["bends"][1][0]) + 1)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(canonical_text(doc))
         assert main(["validate", str(bad)]) == 1
         assert "certified RAC: NO" in capsys.readouterr().out
 
@@ -115,11 +116,18 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", str(bad)]) == 2
 
+    def test_non_canonical_layout_is_usage_error(self, k16_file, tmp_path, capsys):
+        # json.dump's default separators put a space after "," and ":".
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(json.loads(k16_file.read_text())))
+        assert main(["validate", str(loose)]) == 2
+        assert 'sorted keys and separators "," and ":"' in capsys.readouterr().err
+
     def test_overlong_integer_is_usage_error(self, k16_file, tmp_path, capsys):
         doc = json.loads(k16_file.read_text())
         doc["vertices"][0]["x"] = "1" * 5000
         bad = tmp_path / "long.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(canonical_text(doc))
         assert main(["validate", str(bad)]) == 2
         assert "vertex.x" in capsys.readouterr().err
 
@@ -138,7 +146,7 @@ class TestValidate:
         for edge in doc["edges"]:
             edge["bends"] = [[str(int(x) * big), y] for x, y in edge["bends"]]
         huge = tmp_path / "huge.json"
-        huge.write_text(json.dumps(doc))
+        huge.write_text(canonical_text(doc))
         status = main([command[0], str(huge), *command[1:]])
         captured = capsys.readouterr()
         if command == ["stats"]:

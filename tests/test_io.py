@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import doc_of, load_doc, random_graph
 from racdraw import (
     DerivedFieldError,
     DocumentError,
@@ -29,7 +29,6 @@ from racdraw import (
     validate,
     write_drawing,
 )
-from racdraw.io import document_to_drawing, drawing_to_document
 from racdraw.layout import first_bend_index, params_from_n, vertex_slot
 
 # SHA-256 of dumps_drawing(draw_complete(n)), as recorded in the benchmark's
@@ -70,6 +69,14 @@ def _oracle_document(d: Drawing) -> str:
         "edges": edges,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _huge_drawing() -> Drawing:
+    """Two vertices, no edges, the second at (2**70, -2**70): an object array."""
+    d = draw_graph(GraphInput(2, ((0, 1),)))
+    vertices = d.vertices.tolist()
+    vertices[1] = [2**70, -(2**70)]
+    return Drawing(vertices, [], [])
 
 
 class TestDumpsOracle:
@@ -174,7 +181,7 @@ class TestDrawingDocument:
         assert dumps_drawing(k16) == dumps_drawing(draw_complete(16))
 
     def test_all_numbers_are_strings(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
 
         def walk(node):
             if isinstance(node, dict):
@@ -194,71 +201,68 @@ class TestDrawingDocument:
         assert read_drawing(str(path)) == k16
 
     def test_non_integer_coordinate_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["vertices"][0]["x"] = "3.5"
         with pytest.raises(NonIntegerCoordinateError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     @pytest.mark.parametrize(
         "text", ["007", "-0", "5\n", "+5", " 5", "5 ", "", "-", "\uff15"]
     )
     def test_non_canonical_integer_rejected(self, k16, text):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["vertices"][0]["x"] = text
         with pytest.raises(NonIntegerCoordinateError) as err:
-            document_to_drawing(doc)
+            load_doc(doc)
         assert err.value.value == text
         assert repr(text) in str(err.value)
 
     def test_raw_number_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["edges"][0]["bends"][0][0] = 3
         with pytest.raises(NonIntegerCoordinateError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_schema_mismatch(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["schema"] = "rac-drawing/0"
         with pytest.raises(DocumentError, match="schema"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_missing_key_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         del doc["params"]
         with pytest.raises(DocumentError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_wrong_bend_count_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["edges"][0]["bends"] = doc["edges"][0]["bends"][:5]
         with pytest.raises(DocumentError, match="6 bends"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_inconsistent_params_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["params"]["level_gap"] = "68"
         with pytest.raises(DocumentError, match="params"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_duplicate_vertex_id_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["vertices"][1]["id"] = "0"
         with pytest.raises(DocumentError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_corrupted_geometry_still_loads(self, k16):
         # Geometry is the validator's concern; documents with absurd but
         # well-typed coordinates must parse.
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["edges"][0]["bends"][0][0] = "999999"
-        drawing = document_to_drawing(doc)
+        drawing = load_doc(doc)
         assert drawing.bends[0, 0, 0] == 999999
 
     def test_huge_coordinates_survive_round_trip(self):
-        d = draw_graph(GraphInput(2, ((0, 1),)))
-        vertices = d.vertices.tolist()
-        vertices[1] = [2**70, -(2**70)]
-        moved = Drawing(vertices, [], [])
+        moved = _huge_drawing()
         text = dumps_drawing(moved)
         back = loads_drawing(text)
         assert back.vertices[1].tolist() == [2**70, -(2**70)]
@@ -278,43 +282,43 @@ class TestDrawingDocument:
 
     @pytest.mark.parametrize("field,value", [("level", "2"), ("pos", "3")])
     def test_wrong_vertex_slot_rejected(self, k16, field, value):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["vertices"][0][field] = value
         with pytest.raises(DerivedFieldError, match=f"vertex.{field}") as err:
-            document_to_drawing(doc)
+            load_doc(doc)
         assert (err.value.value, err.value.expected) == (value, 1)
 
     def test_wrong_edge_k_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["edges"][0]["k"] = "4"
         with pytest.raises(DerivedFieldError, match="edge.k"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_params_of_another_n_rejected(self, k16):
         # A self-consistent params block for n = 17 (l = 3) in a document
         # whose n is 16.
-        doc = drawing_to_document(k16)
-        doc["params"] = drawing_to_document(draw_complete(17))["params"]
+        doc = doc_of(k16)
+        doc["params"] = doc_of(draw_complete(17))["params"]
         with pytest.raises(DerivedFieldError, match="params"):
-            document_to_drawing(doc)
-        doc = drawing_to_document(k16)
+            load_doc(doc)
+        doc = doc_of(k16)
         doc["params"]["extra"] = "1"
         with pytest.raises(DocumentError, match="params"):
-            document_to_drawing(doc)
-        doc = drawing_to_document(k16)
+            load_doc(doc)
+        doc = doc_of(k16)
         doc["l"] = "3"
         with pytest.raises(DerivedFieldError, match="l"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_vertices_out_of_id_order_rejected(self, k16):
-        doc = drawing_to_document(k16)
+        doc = doc_of(k16)
         doc["vertices"][0], doc["vertices"][1] = doc["vertices"][1], doc["vertices"][0]
         with pytest.raises(DocumentError, match="listed by id"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     @pytest.mark.parametrize("context", ["vertex.x", "bend.y", "n"])
     def test_integer_beyond_conversion_limit_rejected(self, context):
-        doc = drawing_to_document(draw_complete(2))
+        doc = doc_of(draw_complete(2))
         long = "1" * 5000
         if context == "vertex.x":
             doc["vertices"][0]["x"] = long
@@ -323,7 +327,7 @@ class TestDrawingDocument:
         else:
             doc["n"] = long
         with pytest.raises(IntegerTooLongError) as err:
-            document_to_drawing(doc)
+            load_doc(doc)
         assert (err.value.context, err.value.digits) == (context, 5000)
 
     def test_certified_drawing_is_the_written_one(self):
@@ -338,3 +342,61 @@ class TestDrawingDocument:
         written = validate(loads_drawing(dumps_drawing(moved)), ValidationMode.FILTERED)
         assert in_memory.violations
         assert in_memory.to_json_bytes() == written.to_json_bytes()
+
+
+class TestLoaderSoundness:
+    # The loader accepts a text only as the writer's bytes for the drawing
+    # it returns: every single-byte edit either raises a DocumentError or
+    # reads as a drawing that writes exactly the edited text.
+    ALPHABET = '0123456789-"[]{},: \\\nabkxyé５'
+
+    def test_single_byte_edits(self, k16):
+        rng = random.Random(0xC6)
+        drawings = [k16, *(draw_graph(random_graph(rng)) for _ in range(20)), _huge_drawing()]
+        rng = random.Random(0x50D)
+        rejected = accepted = 0
+        for d in drawings:
+            text = dumps_drawing(d)
+            for _ in range(300):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.choice(("replace", "insert", "delete"))
+                byte = rng.choice(self.ALPHABET)
+                head, tail = text[:i], text[i + (edit != "insert") :]
+                mutant = head + ("" if edit == "delete" else byte) + tail
+                try:
+                    got = loads_drawing(mutant)
+                except DocumentError:
+                    rejected += 1
+                    continue
+                assert dumps_drawing(got) == mutant.removesuffix("\n"), (edit, i, byte)
+                accepted += 1
+        assert rejected > accepted > 0
+
+    def test_one_trailing_newline_accepted(self, k16):
+        assert loads_drawing(dumps_drawing(k16) + "\n") == k16
+
+    @pytest.mark.parametrize(
+        "reformat",
+        [
+            lambda text: text + "\r\n",
+            lambda text: text + "\n\n",
+            lambda text: " " + text,
+            lambda text: json.dumps(json.loads(text), indent=1),
+            lambda text: json.dumps(json.loads(text)),
+        ],
+        ids=["crlf", "two-newlines", "leading-space", "indent", "json-dump-default"],
+    )
+    def test_other_spellings_rejected(self, k16, reformat):
+        with pytest.raises(DocumentError, match="sorted keys and separators"):
+            loads_drawing(reformat(dumps_drawing(k16)))
+
+    @pytest.mark.parametrize(
+        "field,value", [("target", "2"), ("target", "16"), ("source", "-1")],
+        ids=["loop", "beyond-n", "negative"],
+    )
+    def test_bad_endpoint_is_a_document_error(self, k16, field, value):
+        doc = doc_of(k16)
+        assert doc["edges"][40]["source"] == "2"
+        doc["edges"][40][field] = value
+        with pytest.raises(DocumentError, match=f"edge.{field} of edge 40"):
+            load_doc(doc)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from conftest import doc_of, load_doc
 from racdraw import (
     DerivedFieldError,
     GraphInput,
@@ -12,7 +13,6 @@ from racdraw import (
     params_from_n,
     vertex_slot,
 )
-from racdraw.io import document_to_drawing, drawing_to_document
 
 
 def _constants(p, *keys):
@@ -77,21 +77,22 @@ class TestPlaceVertices:
 
     def test_capacity_exceeded(self):
         # 17 vertices do not fit the l = 2 grid: a document that lists a
-        # seventeenth vertex under the constants of n = 16 is rejected.
-        doc = drawing_to_document(draw_complete(16))
+        # seventeenth vertex under the constants of n = 16 is rejected at
+        # the first field the l = 3 grid changes, edge 0's k.
+        doc = doc_of(draw_complete(16))
         doc["n"] = "17"
         doc["vertices"].append(
             {"id": "16", "level": "5", "pos": "1", "x": "0", "y": "0"}
         )
-        with pytest.raises(DerivedFieldError, match="params.n_input"):
-            document_to_drawing(doc)
+        with pytest.raises(DerivedFieldError, match="edge.k"):
+            load_doc(doc)
 
 
 class TestRouteEdge:
     def test_cross_level_edge_bends(self):
         d = draw_graph(GraphInput(16, ((0, 4),)))
         assert first_bend_index(2, 4) == 8
-        assert drawing_to_document(d)["edges"][0]["k"] == "8"
+        assert doc_of(d)["edges"][0]["k"] == "8"
         assert [tuple(b) for b in d.bends[0].tolist()] == [
             (8, 1),
             (80, 10),
@@ -104,7 +105,7 @@ class TestRouteEdge:
     def test_same_level_edge_bends(self):
         d = draw_graph(GraphInput(16, ((0, 1),)))
         assert first_bend_index(2, 1) == 3
-        assert drawing_to_document(d)["edges"][0]["k"] == "3"
+        assert doc_of(d)["edges"][0]["k"] == "3"
         assert [tuple(b) for b in d.bends[0].tolist()] == [
             (3, 1),
             (75, 10),

@@ -7,6 +7,7 @@ import pytest
 
 import racdraw.model
 import test_validator
+from conftest import doc_of, load_doc
 from racdraw import (
     Drawing,
     GraphInput,
@@ -16,7 +17,6 @@ from racdraw import (
     validate,
     vertex_slot,
 )
-from racdraw.io import document_to_drawing, drawing_to_document
 from racdraw.model import LISTING_LIMIT, CrossingReport, _ratio_strings, digit_matrix
 
 
@@ -154,13 +154,13 @@ class TestGridParams:
 
     def test_rejects_inconsistent_constants(self):
         good = params_from_n(16)
-        doc = drawing_to_document(draw_complete(16))
+        doc = doc_of(draw_complete(16))
         doc["params"]["level_gap"] = str(good["level_gap"] + 1)
         with pytest.raises(ValueError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_rejects_wrong_l(self):
-        doc = drawing_to_document(draw_complete(16))
+        doc = doc_of(draw_complete(16))
         doc["params"] = {
             "n_input": "16",
             "l": "3",
@@ -174,14 +174,14 @@ class TestGridParams:
             "level_shift": "17",
         }
         with pytest.raises(ValueError):
-            document_to_drawing(doc)
+            load_doc(doc)
 
     def test_rejects_empty(self):
-        doc = drawing_to_document(draw_complete(1))
+        doc = doc_of(draw_complete(1))
         doc["n"] = "0"
         doc["vertices"] = []
         with pytest.raises(ValueError, match="empty graph"):
-            document_to_drawing(doc)
+            load_doc(doc)
 
 
 def test_polyline_points_and_segments_shape():
