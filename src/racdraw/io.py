@@ -214,8 +214,10 @@ def dumps_drawing(d: Drawing) -> str:
 # Vertex x/y, edge source/target and bend x/y where the writer puts them.
 # A value may be any JSON scalar without a comma, so that a misspelt one is
 # read in its place; ``sep`` is the text between the two, quotes dropped.
+# A vertex's x may hold commas too (an array, "1,5"), so that the vertex is
+# still counted and the comparison names ``vertex.x``.
 _COLUMNS = (
-    (re.compile(r'"x":([^,]*,"y":[^,}]*)'), ",y:"),
+    (re.compile(r'"x":([^}]*?,"y":[^,}]*)'), ",y:"),
     (re.compile(r'"source":([^,]*,"target":[^,}]*)'), ",target:"),
     (re.compile(r"\[([^],[]*,[^],[]*)\]"), ","),
 )

@@ -322,7 +322,8 @@ class CrossingReport:
             )
         sa, sb = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
         ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
-        order = np.lexsort((cb, ca, eb, ea))
+        # One int64 key, unique per segment pair, in the canonical order.
+        order = np.argsort((ea * self.m + eb) * 49 + (ca - 1) * 7 + (cb - 1))
         return tuple(c[order] for c in (ea, eb, ca, cb) + cols[2:])
 
     def listing(self) -> tuple[list, ...]:

@@ -35,11 +35,16 @@ zero: boundary meets other than a shared endpoint (an endpoint on the
 other's interior) and any strict meet of a disallowed class pair. When
 either is not, the POS x NEG pairs are enumerated and each offending
 pair is reported exactly. Every other family pair is swept: the sweep
-counts, per family pair, the closed-span overlaps on each of x, y, p and
-q by binary search and expands only the cheapest projection, in chunks
-of bounded size that the other three filter one at a time, the expanded
-projection's partner first. Both modes find segments through vertices
-with the same sweep, vertices taking part as zero-length spans.
+counts the closed-span overlaps on each of x, y, p and q from sorted ends
+and expands, in chunks of bounded size, the pairs of one projection: all
+of them, or, where a sample shows it cheaper, those that also meet one
+half of its partner (x with y, p with q), read off blocks of a Fenwick
+decomposition sorted on the partner (Six & Wood 1982). The other
+projections filter each chunk. A pair of segments that end at one vertex
+is dropped as it is expanded, unless both leave the vertex in one
+direction, the only way they can meet elsewhere. Both modes find
+segments through vertices with the same sweep, vertices taking part as
+zero-length spans.
 
 Every vector expression runs on one dtype chosen per drawing: int64 while
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
@@ -169,17 +174,25 @@ def _spans(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Group:
-    """Members of one slope family, or the vertices, sorted per projection."""
+    """Members of one slope family, or the vertices, sorted per projection.
 
-    __slots__ = ("idx", "spans", "orders")
+    ``ends[k]`` holds, for projection k, the members in ascending lo, their
+    lo values in that order and their hi values sorted; ``star[i]`` is the
+    vertex id member i ends at, or a negative id of its own.
+    """
 
-    def __init__(self, idx: np.ndarray, spans: tuple):
+    __slots__ = ("idx", "star", "spans", "ends")
+
+    def __init__(self, idx: np.ndarray, spans: tuple, star: np.ndarray):
         self.idx = idx
-        self.spans = [(lo[idx], hi[idx]) for lo, hi in spans]
-        self.orders = []
-        for lo, _ in self.spans:
+        self.star = star[idx]
+        self.spans, self.ends = [], []
+        for lo, hi in spans:
+            # Zero-length spans (the vertices) are sorted once.
+            lo, hi = (lo[idx], hi[idx]) if hi is not lo else (lo[idx],) * 2
             order = np.argsort(lo, kind="stable")
-            self.orders.append((order, lo[order]))
+            self.spans.append((lo, hi))
+            self.ends.append((order, lo[order], lo[order] if hi is lo else np.sort(hi)))
 
 
 class _Table:
@@ -225,7 +238,21 @@ class _Table:
             _spans(AX * l3 + AY, BX * l3 + BY),
             _spans(AX - AY * l3, BX - BY * l3),
         )
-        self.groups = [_Group(np.nonzero(fam == f)[0], self.spans) for f in range(4)]
+        # An S1 leaves its edge's source and an S7 enters its target. Two
+        # segments at one vertex meet elsewhere only if they leave it in one
+        # direction; such twins keep an id of their own (-1 - i, as every
+        # other segment), so that the sweep drops just the pairs that cannot.
+        star = -1 - np.arange(len(AX))
+        star[0::7], star[6::7] = d.endpoints[:, 0], d.endpoints[:, 1]
+        at = np.flatnonzero((star >= 0) & (fam != _ZERO))
+        out = np.where(at % 7, -1, 1)
+        dx, dy = ux[at] * out, uy[at] * out
+        keys = (star[at], dx // np.gcd(dx, dy), dy // np.gcd(dx, dy))
+        order = np.lexsort(keys[::-1])
+        same = np.flatnonzero(np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys]))
+        twins = at[order[np.concatenate((same, same + 1))]]
+        star[twins] = -1 - twins
+        self.groups = [_Group(np.nonzero(fam == f)[0], self.spans, star) for f in range(4)]
 
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
@@ -272,7 +299,8 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
     AX, AY, BX, BY = t.coords
     VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(t.dtype) for c in (0, 1))
     points = (VX, VY, VX * t.l3 + VY, VX - VY * t.l3)
-    vertices = _Group(np.arange(len(VX)), [(c, c) for c in points])
+    ids = np.arange(len(VX))
+    vertices = _Group(ids, [(c, c) for c in points], ids)
     for group in t.groups:
         for ia, iv in _span_pairs(group, vertices):
             i = group.idx[ia]
@@ -355,39 +383,43 @@ def _finish_pairs(
 # Filtered candidate generation: sorted-span sweep
 # ---------------------------------------------------------------------------
 
+# Overlaps sampled per projection to choose how a family pair is expanded.
+_SAMPLE = 1 << 10
 
-def _overlap_ranges(a: _Group, b: _Group | None, k: int) -> list[tuple]:
-    """Member pairs of ``a`` x ``b`` whose closed spans overlap on projection k.
 
-    Returns range sets (owners, start, stop, others, flip): owner o overlaps
-    others[start[o]:stop[o]], and ``flip`` marks owners taken from ``b``.
-    A b-span starting inside an a-span is found from a's side, an a-span
-    starting strictly inside a b-span from b's side, so each pair appears
-    once. With ``b`` None the pairs within ``a`` are listed, each once.
-    """
-    lo_a, hi_a = a.spans[k]
-    order_a, sorted_a = a.orders[k]
+def _overlap_count(a: _Group, b: _Group | None, k: int) -> int:
+    """The member pairs of ``a`` x ``b``, or within ``a`` if ``b`` is None,
+    whose closed spans overlap on projection k: every pair less those where
+    one span ends before the other starts, counted from sorted ends."""
+    _, lo_a, hi_a = a.ends[k]
     if b is None:
-        stop = np.searchsorted(sorted_a, hi_a[order_a], "right")
-        return [(order_a, np.arange(1, len(order_a) + 1), stop, order_a, False)]
-    lo_b, hi_b = b.spans[k]
-    order_b, sorted_b = b.orders[k]
-    return [
-        (
-            np.arange(len(lo_a)),
-            np.searchsorted(sorted_b, lo_a, "left"),
-            np.searchsorted(sorted_b, hi_a, "right"),
-            order_b,
-            False,
-        ),
-        (
-            np.arange(len(lo_b)),
-            np.searchsorted(sorted_a, lo_b, "right"),
-            np.searchsorted(sorted_a, hi_b, "right"),
-            order_a,
-            True,
-        ),
-    ]
+        return len(lo_a) * (len(lo_a) - 1) // 2 - int(np.searchsorted(hi_a, lo_a).sum())
+    _, lo_b, hi_b = b.ends[k]
+    apart = np.searchsorted(hi_a, lo_b).sum() + np.searchsorted(hi_b, lo_a).sum()
+    return len(lo_a) * len(lo_b) - int(apart)
+
+
+def _runs(a: _Group, b: _Group | None, k: int, step: int = 1) -> list[tuple]:
+    """The member pairs of ``a`` x ``b`` whose closed spans overlap on
+    projection k, as range sets (flip, owners, start, stop, own, other):
+    member owners[i] of ``own`` overlaps the members at positions
+    start[i]:stop[i] of ``other`` in ascending lo, and ``flip`` marks owners
+    taken from ``b``. A b-span starting inside an a-span is found from a's
+    side, an a-span starting strictly inside a b-span from b's side, so
+    each pair appears once; with ``b`` None, each pair within ``a`` once.
+    Only every ``step``-th owner in ascending lo is taken.
+    """
+    if b is None:
+        order, lo, _ = a.ends[k]
+        stop = np.searchsorted(lo, a.spans[k][1][order[::step]], "right")
+        return [(False, order[::step], np.arange(1, len(lo) + 1)[::step], stop, a, a)]
+    sets = []
+    for flip, own, other, side in ((False, a, b, "left"), (True, b, a, "right")):
+        (order, lo, _), ends = own.ends[k], other.ends[k][1]
+        start = np.searchsorted(ends, lo[::step], side)
+        stop = np.searchsorted(ends, own.spans[k][1][order[::step]], "right")
+        sets.append((flip, order[::step], start, stop, own, other))
+    return sets
 
 
 def _expand(owners, start, stop, others) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -410,31 +442,131 @@ def _expand(owners, start, stop, others) -> Iterator[tuple[np.ndarray, np.ndarra
         yield np.repeat(owners[lo:hi], run), others[shift + np.arange(top - base)]
 
 
-def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _blocks(b: np.ndarray, top: int, start, stop) -> Iterator[tuple]:
+    """Walk the position ranges start[i]:stop[i] of ``b`` bottom up, as a
+    segment tree does (Six & Wood 1982), each taking at most two aligned
+    blocks of 2**level positions per level, as in a Fenwick tree (Fenwick
+    1994). Yields per level (level, by, key, i, node): the positions block
+    by block, each block in ascending b, their ascending keys
+    (position >> level) * top + b, and the blocks ``node`` taken by ranges
+    ``i``. Every b is an int64 rank below ``top``; a stable sort finds each
+    block as two sorted runs of the level below.
+    """
+    by, i, level = np.arange(len(b)), np.flatnonzero(start < stop), 0
+    lo, hi = start[i], stop[i]
+    while len(i):
+        key = (by >> level) * top + b[by]
+        order = np.argsort(key, kind="stable")
+        by, key = by[order], key[order]
+        left, right = (lo & 1).astype(bool), (hi & 1).astype(bool)
+        node = np.concatenate((lo[left], hi[right] - 1))
+        yield level, by, key, np.concatenate((i[left], i[right])), node
+        lo, hi, level = (lo + left) >> 1, (hi - right) >> 1, level + 1
+        live = np.flatnonzero(lo < hi)
+        lo, hi, i = lo[live], hi[live], i[live]
+
+
+def _boxes(owners, start, stop, own: _Group, other: _Group, k1: int, side: int):
+    """Yield (owner, other) chunks of the pairs of a range set on projection
+    k1 that also meet one half of its partner k2 = k1 ^ 1: other's lo at
+    most owner's hi (``side`` 0), or other's hi at least owner's lo (1).
+    Ranked on that half, each block of a run keeps those in a prefix.
+    """
+    k2, order = k1 ^ 1, other.ends[k1][0]
+    n = len(order)
+    if side:
+        by_rank = np.argsort(other.spans[k2][1], kind="stable")[::-1]
+        bound = n - np.searchsorted(other.ends[k2][2], own.spans[k2][0][owners])
+    else:
+        by_rank = other.ends[k2][0]
+        bound = np.searchsorted(other.ends[k2][1], own.spans[k2][1][owners], "right")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    for level, by, key, i, node in _blocks(rank[order], n, start, stop):
+        cut = np.searchsorted(key, node * n + bound[i])
+        yield from _expand(owners[i], node << level, cut, order[by])
+
+
+def _meet(a: _Group, ia, b: _Group, ib, k: int) -> np.ndarray:
+    (lo_a, hi_a), (lo_b, hi_b) = a.spans[k], b.spans[k]
+    return (lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])
+
+
+def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
+    """Choose how to expand the overlaps of ``a`` x ``b``: (k1, side,
+    filters) expands the pairs that overlap on projection k1, with
+    ``_boxes`` only those that meet ``side`` of k1 ^ 1 unless side is None,
+    and checks the projections in ``filters`` in that order.
+
+    Expanding every overlap of the projection with the fewest is the
+    default. ``_boxes`` costs about two steps per level for each member on
+    top of the pairs it expands, which a sample of each projection's
+    overlaps estimates: evenly spaced in the runs of every ``step``-th
+    owner. The cheapest way wins, which changes cost, never output. The
+    filters start with the projection that passes the fewest sampled pairs
+    of the way chosen.
+    """
+    other = a if b is None else b
+    size = len(a.idx) + (0 if b is None else len(b.idx))
+    overhead, step = 2 * size * size.bit_length(), -(-size // _SAMPLE)
+    k1 = min(range(4), key=counts.__getitem__)
+    best, drawn = (counts[k1], k1, None), {}
+    # No walk beats expanding fewer pairs than its overhead.
+    for k in range(4) if counts[k1] > overhead else ():
+        sets = _runs(a, b, k, step)
+        total = sum(int((s[3] - s[2]).sum()) for s in sets)
+        if not total:
+            continue
+        cols = []
+        for flip, owners, start, stop, own, oth in sets:
+            ends = np.cumsum(stop - start)
+            pos = np.arange(0, int(ends[-1]) * _SAMPLE, total) // _SAMPLE
+            i = np.searchsorted(ends, pos, "right")
+            io, ix = owners[i], oth.ends[k][0][start[i] + pos - ends[i] + stop[i] - start[i]]
+            (lo_o, hi_o), (lo_x, hi_x) = own.spans[k ^ 1], oth.spans[k ^ 1]
+            halves = (lo_x[ix] <= hi_o[io], hi_x[ix] >= lo_o[io])
+            cols.append(((ix, io) if flip else (io, ix)) + halves)
+        drawn[k] = [np.concatenate(c) for c in zip(*cols)]
+        for side, half in enumerate(drawn[k][2:]):
+            cost = counts[k] * int(half.sum()) // len(half) + overhead
+            best = min(best, (cost, k, side), key=lambda plan: plan[0])
+    _, k1, side = best
+    ia, ib, *halves = drawn.get(k1, np.zeros((4, 0), dtype=np.int64))
+    if side is not None:
+        ia, ib = ia[halves[side]], ib[halves[side]]
+    passes = {k: int(_meet(a, ia, other, ib, k).sum()) for k in range(4) if k != k1}
+    return k1, side, sorted(passes, key=lambda k: (passes[k], counts[k]))
+
+
+def _span_pairs(
+    a: _Group, b: _Group | None, stars: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (ia, ib) member chunks whose closed spans overlap on x, y, p, q.
 
-    Overlaps are counted exactly on all four projections; only the one with
-    the fewest is expanded. The other three filter each chunk one at a
-    time, and the chunk shrinks after each, so a chunk the first filter
-    empties costs no more. The first filter is the expanded projection's
-    partner (x with y, p with q): p = x*l^3 + y orders segments much as x
-    does, so the partner prunes far more. The other two follow, fewest
-    overlaps first. With ``b`` None, pairs within ``a`` are listed.
+    The overlaps are counted on each projection, and ``_plan`` chooses the
+    pairs to expand. With ``stars``, a pair whose members end at one vertex
+    is dropped as soon as it is expanded. The filters then check each
+    chunk one projection at a time, and the chunk shrinks after each, so a
+    chunk the first filter empties costs no more. With ``b`` None, pairs
+    within ``a`` are listed.
     """
-    ranges = [_overlap_ranges(a, b, k) for k in range(4)]
-    counts = [sum(int((r[2] - r[1]).sum()) for r in sets) for sets in ranges]
-    best, *filters = sorted(range(4), key=counts.__getitem__)
-    filters.sort(key=lambda k: k != best ^ 1)
-    if counts[best] == 0:
+    counts = [_overlap_count(a, b, k) for k in range(4)]
+    if not min(counts):
         return
+    k1, side, filters = _plan(a, b, counts)
     other = a if b is None else b
-    for owners, start, stop, others, flip in ranges[best]:
-        for own, oth in _expand(owners, start, stop, others):
-            ia, ib = (oth, own) if flip else (own, oth)
+    for flip, owners, start, stop, own, oth in _runs(a, b, k1):
+        if side is None:
+            chunks = _expand(owners, start, stop, oth.ends[k1][0])
+        else:
+            chunks = _boxes(owners, start, stop, own, oth, k1, side)
+        for io, ix in chunks:
+            ia, ib = (ix, io) if flip else (io, ix)
+            if stars:
+                keep = np.flatnonzero(a.star[ia] != other.star[ib])
+                ia, ib = ia[keep], ib[keep]
             for k in filters:
-                lo_a, hi_a = a.spans[k]
-                lo_b, hi_b = other.spans[k]
-                keep = np.flatnonzero((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia]))
+                keep = np.flatnonzero(_meet(a, ia, other, ib, k))
                 ia, ib = ia[keep], ib[keep]
                 if not len(keep):
                     break
@@ -443,13 +575,15 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
 
 
 def _family_pair_candidates(
-    groups: list, pairs: tuple
+    groups: list, pairs: tuple, stars: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (fa, fb, i, j): segment index chunks from families fa and fb."""
+    """Yield (fa, fb, i, j): segment index chunks from families fa and fb
+    whose closed spans overlap on x, y, p and q; with ``stars``, less the
+    pairs of segments that end at one vertex."""
     for fa, fb in pairs:
         a = groups[fa]
         b = None if fa == fb else groups[fb]
-        for ia, ib in _span_pairs(a, b):
+        for ia, ib in _span_pairs(a, b, stars):
             yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
 
 
@@ -463,27 +597,18 @@ def _dominance(a, b, w, x, y, top: int) -> np.ndarray:
     ``a[i] < x[k]`` and ``b[i] < y[k]``; every value is an int64 rank, with
     ``b < top`` and ``y <= top``.
 
-    Sorted on a, the points below x[k] are a prefix. The prefix splits into
-    aligned blocks of 2**level points, one per set bit of its length, as in
-    a Fenwick tree (Fenwick 1994); each level sorts its blocks on b, so the
-    share of one block is one binary search.
+    Sorted on a, the points below x[k] are a prefix, which ``_blocks``
+    cuts into at most one block per level; in a block sorted on b, the
+    share of the query is one binary search.
     """
     order = np.argsort(a, kind="stable")
     b, w = b[order], w[order]
     k = np.searchsorted(a[order], x)
     out = np.zeros((len(x), w.shape[1]), dtype=np.int64)
     cum = np.zeros((len(b) + 1, w.shape[1]), dtype=np.int64)
-    block = np.arange(len(b))
-    level = 0
-    while len(b) >> level:
-        key = (block >> level) * top + b
-        by = np.argsort(key, kind="stable")
+    for level, by, key, hit, node in _blocks(b, top, np.zeros_like(k), k):
         np.cumsum(w[by], axis=0, out=cum[1:])
-        hit = np.nonzero((k >> level) & 1)[0]
-        start = (k[hit] >> (level + 1)) << (level + 1)
-        stop = np.searchsorted(key[by], (start >> level) * top + y[hit])
-        out[hit] += cum[stop] - cum[start]
-        level += 1
+        out[hit] += cum[np.searchsorted(key, node * top + y[hit])] - cum[node << level]
     return out
 
 
@@ -600,7 +725,7 @@ def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     enumerated, for the scalar classifier to report, only when a count
     that must be zero is not.
     """
-    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
+    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS, stars=True):
         _confirm_general(t, ia, jb, found, defects)
     strict, surplus = _count_pos_neg(t)
     if surplus or strict[~_ALLOWED].any():

@@ -217,6 +217,14 @@ class TestDrawingDocument:
         assert err.value.value == text
         assert repr(text) in str(err.value)
 
+    @pytest.mark.parametrize("value", [[1, 2], "1,5"])
+    def test_comma_in_vertex_x_names_vertex_x(self, k16, value):
+        # The vertex is still read, so no edge endpoint is blamed for it.
+        doc = doc_of(k16)
+        doc["vertices"][0]["x"] = value
+        with pytest.raises(NonIntegerCoordinateError, match="vertex.x"):
+            load_doc(doc)
+
     def test_raw_number_rejected(self, k16):
         doc = doc_of(k16)
         doc["edges"][0]["bends"][0][0] = 3

@@ -438,6 +438,115 @@ class TestFilteredPairStream:
         for _, i, j in _candidates(d):
             assert i // 7 == j // 7 == 0
 
+    @pytest.mark.parametrize("chunk", [validator._CANDIDATE_CHUNK, 7])
+    def test_every_plan_lists_the_same_pairs(self, k16, chunk, monkeypatch):
+        # Small drawings are cheapest to expand whole on one projection, so
+        # every projection, alone and with either half of its partner, is
+        # forced here in turn. Chunks of 7 are slow, so they take K16 alone.
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", chunk)
+        moved = _transform(k16, 1 << 70, -(1 << 70), rotate=True)
+        for d in [k16, moved, *_c6_drawings()] if chunk > 7 else [k16]:
+            t, want = _Table(d), _reference_candidates(d)
+            for k1 in range(4):
+                for side in (None, 0, 1):
+                    plan = (k1, side, [k for k in range(4) if k != k1])
+                    monkeypatch.setattr(validator, "_plan", lambda a, b, counts: plan)
+                    got = [
+                        (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
+                        for fa, fb, ia, jb in validator._family_pair_candidates(
+                            t.groups, validator._FAMILY_PAIRS
+                        )
+                        for i, j in zip(ia.tolist(), jb.tolist())
+                    ]
+                    assert len(got) == len(set(got))
+                    assert set(got) == want
+
+    def test_overlap_counts_are_exact(self, k16):
+        for d in [k16, *_c6_drawings()[:5]]:
+            groups = _Table(d).groups
+            for fa, fb in validator._FAMILY_PAIRS:
+                a, b = groups[fa], None if fa == fb else groups[fb]
+                for k in range(4):
+                    (lo_a, hi_a), (lo_b, hi_b) = a.spans[k], (b or a).spans[k]
+                    meet = (lo_a[:, None] <= hi_b[None, :]) & (lo_b[None, :] <= hi_a[:, None])
+                    want = np.triu(meet, 1).sum() if b is None else meet.sum()
+                    assert validator._overlap_count(a, b, k) == want
+
+    def test_modes_agree_in_chunks_of_7(self, k16, monkeypatch):
+        # Brute and filtered agree on each of these at the default chunk;
+        # each magnitude regime is taken once, in one of its variants.
+        listed = [k16, *_c6_drawings(), *_corrupted(k16)]
+        variants = TestMagnitudeRegimes.VARIANTS.values()
+        moved = [
+            _transform(k16, 1 << bits, -(1 << bits), **variant)
+            for bits, variant in zip(TestMagnitudeRegimes.OFFSETS, [*variants, {}])
+        ]
+        want = [validate(d, FILTERED) for d in listed + moved]
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", 7)
+        for k, (d, report) in enumerate(zip(listed + moved, want)):
+            got = validate(d, FILTERED)
+            assert got.pair_counts == report.pair_counts
+            assert got.violations == report.violations
+            if k < len(listed):
+                assert got.to_json_bytes() == report.to_json_bytes()
+
+
+class TestSweepAnatomy:
+    # Pairs whose spans overlap on x, y, p and q, per swept family pair of
+    # the 81-vertex complete drawing.
+    POS, NEG, VERT, VAR = validator._POS, validator._NEG, validator._VERT, validator._VAR
+    K81 = {
+        (POS, POS): 18,
+        (POS, VERT): 4,
+        (POS, VAR): 69_053,
+        (NEG, NEG): 0,
+        (NEG, VERT): 3_240,
+        (NEG, VAR): 0,
+        (VERT, VERT): 18,
+        (VERT, VAR): 87_939,
+        (VAR, VAR): 253_360,
+    }
+
+    def test_k81_survivors_per_family_pair(self, k81):
+        got = dict.fromkeys(validator._SWEPT_PAIRS, 0)
+        for fa, fb, i, _ in validator._family_pair_candidates(
+            _Table(k81).groups, validator._SWEPT_PAIRS
+        ):
+            got[fa, fb] += len(i)
+        assert got == self.K81
+
+    def test_k81_star_drop_leaves_240_var_pairs(self, k81):
+        # All but 240 of the VAR x VAR pairs are an S1 or S7 against another
+        # at the same vertex.
+        pairs = validator._family_pair_candidates(
+            _Table(k81).groups, ((self.VAR, self.VAR),), stars=True
+        )
+        assert sum(len(i) for _, _, i, _ in pairs) == 240
+
+
+class TestSharedVertexStars:
+    # S1 of edges 0 (0 -> 1) and 1 (0 -> 2) of K16 both leave vertex 0 at
+    # (0, 0); edge 0's runs to (3, 1). Bend a of edge 1 moves onto that line.
+
+    @pytest.mark.parametrize("chunk", [validator._CANDIDATE_CHUNK, 7])
+    def test_same_direction_is_one_collinear_overlap(self, k16, chunk, monkeypatch):
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", chunk)
+        report = _modes_agree(_replace_bend(k16, 1, 0, (6, 2)))
+        overlaps = [
+            (d.participants, d.location)
+            for d in report.violations
+            if d.kind is DefectKind.COLLINEAR_OVERLAP
+        ]
+        assert overlaps == [(("segment:0:S1", "segment:1:S1"), ("0,0", "3,1"))]
+
+    @pytest.mark.parametrize("chunk", [validator._CANDIDATE_CHUNK, 7])
+    def test_opposite_directions_meet_only_at_the_vertex(self, k16, chunk, monkeypatch):
+        monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", chunk)
+        report = _modes_agree(_replace_bend(k16, 1, 0, (-3, -1)))
+        assert ("segment:0:S1", "segment:1:S1") not in {
+            d.participants for d in report.violations
+        }
+
 
 def _disallowed_s1_s3():
     """n = 4, so l^3 = 8: S1 of edge 0 runs along (8, 1) and S3 of edge 1
@@ -571,14 +680,19 @@ class TestCallingThread:
         assert started == []
 
     def test_modes_agree_on_k16_c6_and_corruptions(self, k16):
-        corrupted = []
-        for _, moves in TestMagnitudeRegimes.CORRUPTIONS.values():
-            bad = k16
-            for edge, index, point in moves:
-                bad = _replace_bend(bad, edge, index, point)
-            corrupted.append(bad)
-        for d in [k16, *_c6_drawings(), *corrupted]:
+        for d in [k16, *_c6_drawings(), *_corrupted(k16)]:
             _modes_agree(d)
+
+
+def _corrupted(k16):
+    """K16 with each move set of ``TestMagnitudeRegimes.CORRUPTIONS``."""
+    corrupted = []
+    for _, moves in TestMagnitudeRegimes.CORRUPTIONS.values():
+        bad = k16
+        for edge, index, point in moves:
+            bad = _replace_bend(bad, edge, index, point)
+        corrupted.append(bad)
+    return corrupted
 
 
 def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
