@@ -300,10 +300,12 @@ def loads_drawing(text: str) -> Drawing:
         sep.join(found).replace('"', "").split(sep) if (found := pattern.findall(body)) else []
         for pattern, sep in _COLUMNS
     )
-    # With no vertex read, compare with a one-vertex drawing. Bends past the
-    # edges read are dropped, and missing ones read as -1.
+    # With no vertex read, compare with a one-vertex drawing. A point value
+    # past the last whole pair and bends past the edges read are dropped,
+    # and missing bends read as -1.
     n, m = max(len(points) // 2, 1), len(ends) // 2
-    points, bends = points or ["0", "0"], (bends + ["-1"] * (12 * m - len(bends)))[: 12 * m]
+    points = (points or ["0", "0"])[: 2 * n]
+    bends = (bends + ["-1"] * (12 * m - len(bends)))[: 12 * m]
     endpoints = _ints(ends).reshape(-1, 2)
     bad = (endpoints < 0) | (endpoints >= n)
     bad[:, 1] |= endpoints[:, 0] == endpoints[:, 1]

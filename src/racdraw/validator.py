@@ -46,10 +46,12 @@ direction, the only way they can meet elsewhere. Both modes find
 segments through vertices with the same sweep, vertices taking part as
 zero-length spans.
 
-Every vector expression runs on one dtype chosen per drawing: int64 while
+Spans, and the sorts and binary searches over them, are int64 wherever the
+values fit, and NumPy object arrays of Python ints otherwise. Every product
+runs on one dtype chosen per drawing: int64 while
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
-orientation product and each rotated crossing numerator, and NumPy object
-arrays of Python ints beyond it, through the same code.
+orientation product and each rotated crossing numerator, and object arrays
+beyond it, through the same code.
 """
 
 from __future__ import annotations
@@ -169,10 +171,6 @@ def segment_pair(s, r):
 # ---------------------------------------------------------------------------
 
 
-def _spans(a, b) -> tuple[np.ndarray, np.ndarray]:
-    return np.minimum(a, b), np.maximum(a, b)
-
-
 class _Group:
     """Members of one slope family, or the vertices, sorted per projection.
 
@@ -200,27 +198,25 @@ class _Table:
 
     Segment i is class i % 7 + 1 (``classes``) of edge i // 7, has slope
     family ``family[i]`` (``_ZERO`` if zero-length) and runs from (AX[i],
-    AY[i]) to (BX[i], BY[i]) in ``coords``, NumPy columns of ``dtype``; no
-    Python-list copy is kept, and the scalar path reads ints out of these
-    arrays for just the pairs it classifies. ``spans[k]`` holds every
-    segment's closed (lo, hi) interval on projection k of (x, y, p, q),
-    where p = x*l^3 + y and q = x - y*l^3; ``groups`` holds the four slope
-    families, each sorted for the sweep.
+    AY[i]) to (BX[i], BY[i]) in ``coords``, NumPy columns of ``dtype``, the
+    dtype of every product; no Python-list copy is kept, and the scalar
+    path reads ints out of these arrays for just the pairs it classifies.
+    ``groups`` holds the four slope families, each sorted for the sweep and
+    holding its members' closed (lo, hi) intervals on x, y, p and q, where
+    p = x*l^3 + y and q = x - y*l^3: int64 wherever the values fit, and no
+    table-wide copy is kept. ``bbox`` is the drawing's bounding box.
     """
 
-    __slots__ = ("l3", "dtype", "coords", "family", "classes", "spans", "groups")
+    __slots__ = ("l3", "dtype", "coords", "family", "classes", "bbox", "groups")
 
     def __init__(self, d: Drawing):
-        lines = d.polylines()
-        big = max(
-            (max(int(a.max()), -int(a.min())) for a in (lines, d.vertices) if a.size),
-            default=0,
-        )
+        self.bbox = bounding_box(d)
+        big = max(map(abs, self.bbox))
         l3 = self.l3 = d.l**3
         dtype = self.dtype = (
             np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
         )
-        lines = lines.astype(dtype)
+        lines = d.polylines().astype(dtype)
         AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
         BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
         self.coords = (AX, AY, BX, BY)
@@ -232,12 +228,8 @@ class _Table:
         fam[uy == -ux * l3] = _NEG
         fam[(ux == 0) & (uy == 0)] = _ZERO
         self.family = fam
-        self.spans = (
-            _spans(AX, BX),
-            _spans(AY, BY),
-            _spans(AX * l3 + AY, BX * l3 + BY),
-            _spans(AX - AY * l3, BX - BY * l3),
-        )
+        ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
+        spans = [int_column((np.minimum(a, b), np.maximum(a, b))) for a, b in ends]
         # An S1 leaves its edge's source and an S7 enters its target. Two
         # segments at one vertex meet elsewhere only if they leave it in one
         # direction; such twins keep an id of their own (-1 - i, as every
@@ -252,7 +244,7 @@ class _Table:
         same = np.flatnonzero(np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys]))
         twins = at[order[np.concatenate((same, same + 1))]]
         star[twins] = -1 - twins
-        self.groups = [_Group(np.nonzero(fam == f)[0], self.spans, star) for f in range(4)]
+        self.groups = [_Group(np.nonzero(fam == f)[0], spans, star) for f in range(4)]
 
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
@@ -298,7 +290,7 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
     """
     AX, AY, BX, BY = t.coords
     VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(t.dtype) for c in (0, 1))
-    points = (VX, VY, VX * t.l3 + VY, VX - VY * t.l3)
+    points = int_column((VX, VY, VX * t.l3 + VY, VX - VY * t.l3))
     ids = np.arange(len(VX))
     vertices = _Group(ids, [(c, c) for c in points], ids)
     for group in t.groups:
@@ -680,13 +672,15 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
     y = (p - q*l^3)/(l^6 + 1). ``rest`` marks those that are neither clean
     nor a shared endpoint; the exact scalar classifier reports them.
     """
-    (p_lo, p_hi), (q_lo, q_hi) = t.spans[2:]
-    for _, _, i, j in _family_pair_candidates(t.groups, ((_POS, _NEG),)):
-        p, q = p_lo[j], q_lo[i]
-        p_end = (p == p_lo[i]) | (p == p_hi[i])
-        q_end = (q == q_lo[j]) | (q == q_hi[j])
+    pos, neg = t.groups[_POS], t.groups[_NEG]
+    (p_lo, p_hi), (q, _) = pos.spans[2:]
+    (p, _), (q_lo, q_hi) = neg.spans[2:]
+    for ia, ib in _span_pairs(pos, neg):
+        i, j, p_j, q_i = pos.idx[ia], neg.idx[ib], p[ib], q[ia]
+        p_end = (p_j == p_lo[ia]) | (p_j == p_hi[ia])
+        q_end = (q_i == q_lo[ib]) | (q_i == q_hi[ib])
         clean = ~p_end & ~q_end & _ALLOWED[t.classes[i], t.classes[j]]
-        yield i, j, p, q, clean, ~clean & ~(p_end & q_end)
+        yield i, j, p_j, q_i, clean, ~clean & ~(p_end & q_end)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +761,8 @@ def _crossing_columns(t: _Table | None, found: list) -> tuple:
         l3 = t.l3
         for i, j, p, q, clean, _ in _pos_neg_pairs(t):
             keep = np.nonzero(clean)[0]
-            i, j, p, q = i[keep], j[keep], p[keep], q[keep]
+            # Spans may be int64 where the numerators are not.
+            i, j, p, q = i[keep], j[keep], p[keep].astype(t.dtype), q[keep].astype(t.dtype)
             # The denominator and the right angle are the same for every pair.
             den = np.broadcast_to(np.asarray(l3 * l3 + 1, dtype=p.dtype), len(keep))
             perp = np.broadcast_to(True, len(keep))
@@ -816,7 +811,7 @@ def validate(
         n=d.n,
         m=d.m,
         violations=tuple(defects),
-        bbox=bounding_box(d),
+        bbox=t.bbox,
         pair_counts=_pair_counts(counted, found),
         crossings=partial(_crossing_columns, listed, found),
     )

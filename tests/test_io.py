@@ -225,6 +225,16 @@ class TestDrawingDocument:
         with pytest.raises(NonIntegerCoordinateError, match="vertex.x"):
             load_doc(doc)
 
+    def test_split_vertex_y_names_vertex_y(self):
+        # The x pattern captures '"12","y"":"4","x":"12"', which splits into
+        # three values once the quotes are dropped; the odd count of point
+        # values must not reach the reshape into (x, y) pairs.
+        doc = dumps_drawing(draw_complete(5))
+        entry = '"x":"12","y":"-67"'
+        assert doc.count(entry) == 1
+        with pytest.raises(DocumentError, match="vertex.y"):
+            loads_drawing(doc.replace(entry, '"x":"12","y"":"4","x":"12","y":"-67"'))
+
     def test_raw_number_rejected(self, k16):
         doc = doc_of(k16)
         doc["edges"][0]["bends"][0][0] = 3
@@ -379,6 +389,27 @@ class TestLoaderSoundness:
                 assert dumps_drawing(got) == mutant.removesuffix("\n"), (edit, i, byte)
                 accepted += 1
         assert rejected > accepted > 0
+
+    def test_duplicated_slices(self, k16):
+        # A slice of up to 60 bytes written twice can repeat a key, a value
+        # or a whole vertex or bend; the text is still rejected or read as
+        # the drawing that writes it.
+        rng = random.Random(0xD0B)
+        drawings = [k16, *(draw_graph(random_graph(rng)) for _ in range(5)), _huge_drawing()]
+        rejected = 0
+        for d in drawings:
+            text = dumps_drawing(d)
+            for _ in range(300):
+                i = rng.randrange(len(text))
+                j = min(len(text), i + rng.randint(1, 60))
+                mutant = text[:j] + text[i:]
+                try:
+                    got = loads_drawing(mutant)
+                except DocumentError:
+                    rejected += 1
+                    continue
+                assert dumps_drawing(got) == mutant, (i, j)
+        assert rejected > 0
 
     def test_one_trailing_newline_accepted(self, k16):
         assert loads_drawing(dumps_drawing(k16) + "\n") == k16

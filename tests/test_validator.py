@@ -329,9 +329,16 @@ class TestAreaBoundAtScale:
         assert xmax - xmin == 2 * l**6 + l**4 + l**3 + 7 * l**2 - 2
         assert ymax - ymin == 8 * l**5 + 2 * l**3 + l**2 - 3 * l - 1
 
+    def test_l32_witness_spans_stay_int64(self):
+        # At l = 32 (n = 2^20) the orientation products and the rotated
+        # crossing numerators pass the int64 bound, but every span fits.
+        t = _Table(_witness(32))
+        assert t.dtype is object
+        assert _span_dtypes(t) == {np.dtype(np.int64)}
+
     def test_area_ratio_falls_towards_16(self):
-        # At l = 32 (n = 2^20) the rotated coordinates pass the int64 bound,
-        # so the certifier runs on object arrays.
+        # At l = 32 (n = 2^20) the products run on object ints, and the
+        # spans with their sorts and binary searches on int64.
         reports = [stats(_witness(l)) for l in (2, 3, 4, 5, 8, 16, 32)]
         assert [s.violation_count for s in reports] == [0] * len(reports)
         ratios = [Decimal(s.area_ratio) for s in reports]
@@ -711,10 +718,23 @@ def _transform(d, dx=0, dy=0, mirror=False, rotate=False, reverse=False):
     return Drawing(move(d.vertices), d.endpoints[order], move(d.bends)[order])
 
 
+def _span_dtypes(t):
+    """The dtypes of every span column of the table's four groups."""
+    return {column.dtype for group in t.groups for span in group.spans for column in span}
+
+
 class TestMagnitudeRegimes:
-    # Each offset drives the vector path into one dtype regime: int64 up to
-    # 2**29 (8 * max_abs**2 stays below 2**62), NumPy object ints beyond.
-    OFFSETS = {20: np.int64, 29: np.int64, 40: object, 63: object, 70: object}
+    # Each offset drives the table into one (product dtype, span dtype)
+    # regime. Products are int64 up to 2**29 (8 * max_abs**2 stays below
+    # 2**62) and NumPy object ints beyond; spans, and the sweep's sorts and
+    # binary searches over them, stay int64 while every value fits.
+    OFFSETS = {
+        20: (np.int64, np.int64),
+        29: (np.int64, np.int64),
+        40: (object, np.int64),
+        63: (object, object),
+        70: (object, object),
+    }
     VARIANTS = {
         "translated": {},
         "mirrored": {"mirror": True},
@@ -726,7 +746,10 @@ class TestMagnitudeRegimes:
     @pytest.mark.parametrize("bits", sorted(OFFSETS))
     def test_modes_agree_on_moved_k16(self, k16, bits, variant):
         d = _transform(k16, 1 << bits, -(1 << bits), **self.VARIANTS[variant])
-        assert _Table(d).dtype is self.OFFSETS[bits]
+        products, spans = self.OFFSETS[bits]
+        t = _Table(d)
+        assert t.dtype is products
+        assert _span_dtypes(t) == {np.dtype(spans)}
         filtered = _modes_agree(d)
         assert filtered.violations == ()
         assert filtered.crossing_count == K16_CROSSINGS
@@ -741,11 +764,19 @@ class TestMagnitudeRegimes:
             edges.add(tuple(sorted(rng.sample(range(6562), 2))))
         d = draw_graph(GraphInput(6562, tuple(sorted(edges))))
         assert d.l == 10
-        assert _Table(d).dtype is np.int64
+        t = _Table(d)
+        assert t.dtype is np.int64
+        assert _span_dtypes(t) == {np.dtype(np.int64)}
         assert int(abs(d.bends).max()) > 1 << 20
         report = _modes_agree(d)
         assert report.violations == ()
         assert report.crossing_count > 1000
+
+    def test_complete_drawings_are_int64_throughout(self, k16, k81):
+        for d in (k16, k81):
+            t = _Table(d)
+            assert t.dtype is np.int64
+            assert _span_dtypes(t) == {np.dtype(np.int64)}
 
     # Corruptions as (defects expected, each a kind with its participants
     # or None, moved bends). The touches keep both segments in their exact
