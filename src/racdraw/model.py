@@ -10,11 +10,11 @@ points, the endpoint ids of each edge, and the six bends of each edge.
 Everything else (``l``, the grid constants, vertex slots, the first-bend
 index ``k``, the 8-point polylines) is derived from them on demand.
 
-JSON rows (a report's crossings here, a document's vertices and edges in
-``io``) are written by one column writer, ``json_rows``: each integer
-column is spelled as a uint8 digit matrix, fixed key text is broadcast
-between the columns, and the non-NUL bytes of each chunk's matrix are its
-rows. No row is ever a Python string.
+Rows of output (a report's crossings here, a document's vertices and edges
+in ``io``, an SVG's elements in ``svg``) are written by one row writer,
+``json_rows``: each column is spelled as a uint8 digit matrix, fixed text
+is broadcast between the columns, and the non-NUL bytes of each chunk's
+matrix are its rows. No row is ever a Python string.
 
 All types are immutable values and safe to share across threads.
 """
@@ -206,22 +206,22 @@ def ratio_matrix(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.concatenate((digit_matrix(num), slash, denominator), axis=1)
 
 
-def json_rows(n: int, pieces: tuple) -> list[bytes]:
-    """Rows 0..n-1 of a JSON array, joined by commas, as byte chunks.
+def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytes]:
+    """Rows 0..n-1 of a JSON array, joined by ``sep``, as byte chunks.
 
     Each piece is a bytes literal, the same in every row, or a tuple
     ``(spell, *columns)``: ``spell`` maps the columns' rows lo:hi to a uint8
     matrix as ``digit_matrix`` does. Each chunk of ``_ROW_CHUNK`` rows is
-    one matrix of the pieces side by side, behind a column of commas, and
+    one matrix of the pieces side by side, behind columns of ``sep``, and
     its bytes are the matrix's non-NUL bytes; no row is a Python string.
     """
     chunks = []
     for lo in range(0, n, _ROW_CHUNK):
         hi = min(n, lo + _ROW_CHUNK)
-        comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
+        head = np.frombuffer(sep, dtype=np.uint8)[None].repeat(hi - lo, axis=0)
         if lo == 0:
-            comma[0] = _NUL
-        parts = [comma]
+            head[:1] = _NUL
+        parts = [head]
         for piece in pieces:
             if isinstance(piece, bytes):
                 literal = np.frombuffer(piece, dtype=np.uint8)
@@ -229,8 +229,9 @@ def json_rows(n: int, pieces: tuple) -> list[bytes]:
             else:
                 spell, *cols = piece
                 parts.append(spell(*(c[lo:hi] for c in cols)))
-        m = np.concatenate(parts, axis=1)
-        chunks.append(m.tobytes().translate(None, b"\0"))
+        # The matrix is freed before its NUL bytes are dropped.
+        raw = np.concatenate(parts, axis=1).tobytes()
+        chunks.append(raw.translate(None, b"\0"))
     return chunks
 
 

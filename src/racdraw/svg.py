@@ -2,20 +2,27 @@
 
 Rendering is read-only and is the single place in the package where
 floating point is allowed: model coordinates stay exact, floats appear only
-in the viewport transform. The y axis is flipped so level 1 appears at the
-top, matching the construction's top-to-bottom reading.
+in the viewport transform and in their ``%.2f`` spelling. The y axis is
+flipped so level 1 appears at the top, matching the construction's
+top-to-bottom reading.
 
-The output is plain text, written element by element straight from the
-drawing's arrays and the report's columns; no XML tree is built.
+Every element is one row of ``json_rows``, as every row of the drawing
+document and the report is, written straight from the drawing's arrays
+and the report's columns: integer columns are spelled by
+``digit_matrix``, coordinates by ``_hundredths``, exactly as ``'%.2f'``
+spells them. No element is a Python string and no XML tree is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import truediv
+
+import numpy as np
 
 from .layout import vertex_slot
-from .model import CrossingReport, Drawing
+from .model import CrossingReport, Drawing, digit_matrix, json_rows
 from .validator import bounding_box
 
 # One stroke color per segment class S1..S7.
@@ -48,86 +55,108 @@ class SvgOptions:
             raise ValueError(f"scale must be finite and positive, not {self.scale}")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _hundredths(col: np.ndarray) -> np.ndarray:
+    """A uint8 matrix whose row k, with its NUL bytes dropped, is
+    ``'%.2f' % col[k]``, for a finite float64 column.
+
+    ``%.2f`` rounds the exact binary value half to even. |v| is M * 2**e
+    with M < 2**53 an integer, so its hundredths are 100 * M shifted right
+    by -e and rounded on the exact remainder, in int64; where |v| >= 2**53,
+    v is an integer and they are 100 * M << e, as Python ints.
+    """
+    frac, exp = np.frexp(np.abs(col))
+    mant = (frac * 2.0**53).astype(np.int64) * 100
+    exp = exp.astype(np.int64) - 53
+    # 100 * M < 2**60, so a shift past 62 leaves less than half of 1.
+    shift = np.clip(-exp, 0, 62)
+    q = mant >> shift
+    rest, half = mant - (q << shift), (1 << shift) >> 1
+    q += (rest > half) | ((rest == half) & (rest > 0) & (q % 2 == 1))
+    if (big := exp > 0).any():
+        q = q.astype(object)
+        q[big] = mant[big].astype(object) << exp[big].astype(object)
+    cents = (q % 100).astype(np.uint8)
+    tail = np.stack((0 * cents, cents // 10, cents % 10), axis=1) + np.frombuffer(b".00", np.uint8)
+    sign = (np.signbit(col) * np.uint8(ord("-")))[:, None]
+    return np.concatenate((sign, digit_matrix(q // 100), tail), axis=1)
 
 
-def _group(attrs: str, children: list[str]) -> str:
-    """A ``<g>`` element, closing itself when it has no children."""
-    return f"<g {attrs}>{''.join(children)}</g>" if children else f"<g {attrs} />"
+def _group(attrs: str, n: int, pieces: tuple) -> list[bytes]:
+    """A ``<g>`` element of n rows of ``json_rows``, one child element a
+    row, closing itself when it has none."""
+    head = f"<g {attrs}".encode("ascii")
+    return [head, b">", *json_rows(n, pieces, sep=b""), b"</g>"] if n else [head, b" />"]
 
 
 def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
     """Render the drawing as an SVG 1.1 document string.
 
-    Each element is written as a string, attributes in a fixed order and
-    childless elements as ``<name ... />``. Every attribute value is a
-    formatted number or a fixed name, and every text is a generated vertex
-    label, so nothing needs escaping.
+    Attributes are in a fixed order and childless elements are written as
+    ``<name ... />``. Every attribute value is a formatted number or a
+    fixed name, and every text is a generated vertex label, so nothing
+    needs escaping. Raises ValueError when the scale puts the width, the
+    height or a coordinate beyond the float range.
     """
     xmin, xmax, ymin, ymax = bounding_box(d)
     scale = float(options.scale)
+    width = (xmax - xmin) * scale + 2 * _MARGIN
+    height = (ymax - ymin) * scale + 2 * _MARGIN
 
-    def tx(x: int | float) -> float:
-        return (float(x) - xmin) * scale + _MARGIN
+    def finite(*cols):
+        if not all(np.isfinite(c).all() for c in cols):
+            raise ValueError(f"scale {options.scale} puts the SVG beyond the float range")
+        return cols
 
-    def ty(y: int | float) -> float:
-        return (ymax - float(y)) * scale + _MARGIN
+    def place(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Output coordinates of the model points (x, y)."""
+        return finite(
+            (x.astype(np.float64) - float(xmin)) * scale + _MARGIN,
+            (float(ymax) - y.astype(np.float64)) * scale + _MARGIN,
+        )
 
-    width = _fmt((xmax - xmin) * scale + 2 * _MARGIN)
-    height = _fmt((ymax - ymin) * scale + 2 * _MARGIN)
+    finite(width, height)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">'.encode("ascii")
     ]
 
-    polylines = d.polylines().tolist()
-    stroke_width = _fmt(max(0.75, scale * 0.4))
+    xs, ys = place(*np.moveaxis(d.polylines(), 2, 0))
+    x, y = ([(_hundredths, c[:, k]) for k in range(8)] for c in (xs, ys))
+    stroke = f'stroke-width="{max(0.75, scale * 0.4):.2f}" fill="none"'
     if options.color_classes:
-        for cls_idx in range(7):
-            lines = [
-                f'<line x1="{_fmt(tx(px))}" y1="{_fmt(ty(py))}" '
-                f'x2="{_fmt(tx(qx))}" y2="{_fmt(ty(qy))}" />'
-                for (px, py), (qx, qy) in (pts[cls_idx : cls_idx + 2] for pts in polylines)
-            ]
-            attrs = (
-                f'class="S{cls_idx + 1}" stroke="{CLASS_COLORS[cls_idx]}" '
-                f'stroke-width="{stroke_width}" fill="none"'
-            )
-            parts.append(_group(attrs, lines))
+        for c in range(7):
+            line = (b'<line x1="', x[c], b'" y1="', y[c], b'" x2="', x[c + 1], b'" y2="', y[c + 1])
+            attrs = f'class="S{c + 1}" stroke="{CLASS_COLORS[c]}" {stroke}'
+            parts += _group(attrs, d.m, (*line, b'" />'))
     else:
-        lines = [
-            '<polyline points="%s" />'
-            % " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-            for pts in polylines
-        ]
-        attrs = f'stroke="#333333" stroke-width="{stroke_width}" fill="none"'
-        parts.append(_group(attrs, lines))
+        points = [b'<polyline points="']
+        for k in range(8):
+            points += x[k], b",", y[k], b" "
+        points[-1] = b'" />'
+        parts += _group(f'stroke="#333333" {stroke}', d.m, tuple(points))
 
-    dot_radius = _fmt(max(1.5, scale * 0.8))
-    l = d.l
-    dots = []
-    for v, (x, y) in enumerate(d.vertices.tolist()):
-        dots.append(f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="{dot_radius}" />')
-        if options.vertex_labels:
-            level, pos = vertex_slot(l, v)
-            dots.append(
-                f'<text x="{_fmt(tx(x) + 3.0)}" y="{_fmt(ty(y) + 12.0)}" '
-                f'font-size="10" font-family="sans-serif">v{v} ({level},{pos})</text>'
-            )
-    parts.append(_group('class="vertices" fill="#000000"', dots))
+    vx, vy = place(d.vertices[:, 0], d.vertices[:, 1])
+    dots = [b'<circle cx="', (_hundredths, vx), b'" cy="', (_hundredths, vy)]
+    dots.append(b'" r="%.2f" />' % max(1.5, scale * 0.8))
+    if options.vertex_labels:
+        ids = np.arange(d.n, dtype=np.int64)
+        level, pos = vertex_slot(d.l, ids)
+        dots += (
+            b'<text x="', (_hundredths, vx + 3.0), b'" y="', (_hundredths, vy + 12.0),
+            b'" font-size="10" font-family="sans-serif">v', (digit_matrix, ids),
+            b" (", (digit_matrix, level), b",", (digit_matrix, pos), b")</text>",
+        )
+    parts += _group('class="vertices" fill="#000000"', d.n, tuple(dots))
 
     if options.crossing_report is not None:
         # x / q is float(Fraction(x, q)): true division of ints rounds once.
-        *_, xs, ys, dens, _ = options.crossing_report.listing()
-        marker_radius = _fmt(max(1.2, scale * 0.6))
-        markers = [
-            f'<circle cx="{_fmt(tx(x / q))}" cy="{_fmt(ty(y / q))}" r="{marker_radius}" />'
-            for x, y, q in zip(xs, ys, dens)
-        ]
+        *_, xn, yn, q, _ = options.crossing_report.listing()
+        cx, cy = place(*(np.fromiter(map(truediv, v, q), float, len(q)) for v in (xn, yn)))
+        markers = (b'<circle cx="', (_hundredths, cx), b'" cy="', (_hundredths, cy))
         attrs = 'class="crossings" fill="none" stroke="#d01c8b" stroke-width="0.8"'
-        parts.append(_group(attrs, markers))
+        marker_radius = b'" r="%.2f" />' % max(1.2, scale * 0.6)
+        parts += _group(attrs, len(q), (*markers, marker_radius))
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+    parts.append(b"</svg>\n")
+    return b"".join(parts).decode("ascii")

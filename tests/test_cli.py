@@ -186,6 +186,12 @@ class TestSvg:
         assert main(["svg", str(small), "--mark-crossings", "--out", "-"]) == 0
         assert "crossings" in capsys.readouterr().out
 
+    def test_viewport_beyond_float_range_is_usage_error(self, k16_file, tmp_path, capsys):
+        out = tmp_path / "big.svg"
+        assert main(["svg", str(k16_file), "--scale", "1e307", "--out", str(out)]) == 2
+        assert "scale 1e+307" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_l_max_too_small(self, capsys):
