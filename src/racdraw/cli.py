@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from time import perf_counter
 
@@ -41,13 +42,15 @@ def _read_text(path: str) -> str:
         raise CliError(str(exc))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_bytes(path: str, *chunks: bytes) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        # Text printed before must come out first.
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
         return
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise CliError(str(exc))
 
@@ -74,7 +77,7 @@ def cmd_draw(args) -> int:
             "pass --allow-large to proceed"
         )
     drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)
-    _write_text(args.out, dumps_drawing(drawing) + "\n")
+    _write_bytes(args.out, dumps_drawing(drawing).encode("ascii"), b"\n")
     return 0
 
 
@@ -82,19 +85,21 @@ def cmd_validate(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
     report = validate(drawing, ValidationMode(args.mode))
     # Built first, so a refused listing prints no verdict and writes no file.
-    text = report.to_json_bytes().decode("ascii") + "\n" if args.report else None
-    print(f"drawing: n={report.n} m={report.m}")
+    data = report.to_json_bytes() if args.report else None
+    # A report on stdout keeps it to itself; the verdict goes to stderr.
+    say = partial(print, file=sys.stderr if args.report == "-" else sys.stdout)
+    say(f"drawing: n={report.n} m={report.m}")
     hist = ", ".join(f"{k}={v}" for k, v in sorted(report.pair_counts.items()))
-    print(f"crossings: {report.crossing_count}" + (f" ({hist})" if hist else ""))
-    print(f"violations: {len(report.violations)}")
+    say(f"crossings: {report.crossing_count}" + (f" ({hist})" if hist else ""))
+    say(f"violations: {len(report.violations)}")
     for defect in report.violations[:20]:
-        print(f"  {defect.kind.value}: {', '.join(defect.participants)} "
-              f"@ {'; '.join(defect.location)}")
+        say(f"  {defect.kind.value}: {', '.join(defect.participants)} "
+            f"@ {'; '.join(defect.location)}")
     if len(report.violations) > 20:
-        print(f"  ... and {len(report.violations) - 20} more")
-    print(f"certified RAC: {'yes' if report.ok else 'NO'}")
-    if text is not None:
-        _write_text(args.report, text)
+        say(f"  ... and {len(report.violations) - 20} more")
+    say(f"certified RAC: {'yes' if report.ok else 'NO'}")
+    if data is not None:
+        _write_bytes(args.report, data, b"\n")
     return 0 if report.ok else 1
 
 
@@ -117,7 +122,7 @@ def cmd_svg(args) -> int:
         crossing_report=report,
         vertex_labels=not args.no_labels,
     )
-    _write_text(args.out, render_svg(drawing, options))
+    _write_bytes(args.out, render_svg(drawing, options).encode("ascii"))
     return 0
 
 

@@ -122,7 +122,9 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
     ]
 
     xs, ys = place(*np.moveaxis(d.polylines(), 2, 0))
-    x, y = ([(_hundredths, c[:, k]) for k in range(8)] for c in (xs, ys))
+    # Each coordinate column is spelled once, though a coloured render
+    # writes an interior point twice; json_rows slices the matrices by row.
+    x, y = ([(np.asarray, _hundredths(c[:, k])) for k in range(8)] for c in (xs, ys))
     stroke = f'stroke-width="{max(0.75, scale * 0.4):.2f}" fill="none"'
     if options.color_classes:
         for c in range(7):

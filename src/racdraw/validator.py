@@ -40,18 +40,20 @@ and expands, in chunks of bounded size, the pairs of one projection: all
 of them, or, where a sample shows it cheaper, those that also meet one
 half of its partner (x with y, p with q), read off blocks of a Fenwick
 decomposition sorted on the partner (Six & Wood 1982). The other
-projections filter each chunk. A pair of segments that end at one vertex
-is dropped as it is expanded, unless both leave the vertex in one
-direction, the only way they can meet elsewhere. Both modes find
-segments through vertices with the same sweep, vertices taking part as
-zero-length spans.
+projections filter each chunk. Every sweep drops a pair of segments that
+end at one vertex as it is expanded, unless both leave the vertex in one
+direction, the only way they can meet elsewhere. Both modes find segments
+through vertices with the same sweep, vertices taking part as zero-length
+spans, and a segment's own end vertex is dropped the same way.
 
-Spans, and the sorts and binary searches over them, are int64 wherever the
-values fit, and NumPy object arrays of Python ints otherwise. Every product
-runs on one dtype chosen per drawing: int64 while
-max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
-orientation product and each rotated crossing numerator, and object arrays
-beyond it, through the same code.
+Two dtypes are chosen per drawing, each int64 below a bound and NumPy
+object arrays of Python ints beyond it, through the same code. Spans, and
+the sorts and binary searches over them, are int64 while
+max_abs * (l^3 + 1) < 2**63, which bounds |p| and |q|. Products are int64
+while max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
+orientation product and each rotated crossing numerator, and implies the
+span bound; a span value is cast to the product dtype only where it enters
+a product.
 """
 
 from __future__ import annotations
@@ -203,11 +205,11 @@ class _Table:
     path reads ints out of these arrays for just the pairs it classifies.
     ``groups`` holds the four slope families, each sorted for the sweep and
     holding its members' closed (lo, hi) intervals on x, y, p and q, where
-    p = x*l^3 + y and q = x - y*l^3: int64 wherever the values fit, and no
-    table-wide copy is kept. ``bbox`` is the drawing's bounding box.
+    p = x*l^3 + y and q = x - y*l^3, all of ``span_dtype``; no table-wide
+    copy is kept. ``bbox`` is the drawing's bounding box.
     """
 
-    __slots__ = ("l3", "dtype", "coords", "family", "classes", "bbox", "groups")
+    __slots__ = ("l3", "dtype", "span_dtype", "coords", "family", "classes", "bbox", "groups")
 
     def __init__(self, d: Drawing):
         self.bbox = bounding_box(d)
@@ -216,10 +218,13 @@ class _Table:
         dtype = self.dtype = (
             np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
         )
-        lines = d.polylines().astype(dtype)
+        self.span_dtype = np.int64 if big * (l3 + 1) < 1 << 63 else object
+        lines = d.polylines().astype(self.span_dtype)
         AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
         BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
-        self.coords = (AX, AY, BX, BY)
+        ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
+        spans = [(np.minimum(a, b), np.maximum(a, b)) for a, b in ends]
+        AX, AY, BX, BY = self.coords = tuple(c.astype(dtype, copy=False) for c in (AX, AY, BX, BY))
         self.classes = np.arange(len(AX)) % 7 + 1
         ux, uy = BX - AX, BY - AY
         fam = np.full(len(AX), _VAR, dtype=np.int64)
@@ -228,8 +233,6 @@ class _Table:
         fam[uy == -ux * l3] = _NEG
         fam[(ux == 0) & (uy == 0)] = _ZERO
         self.family = fam
-        ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
-        spans = [int_column((np.minimum(a, b), np.maximum(a, b))) for a, b in ends]
         # An S1 leaves its edge's source and an S7 enters its target. Two
         # segments at one vertex meet elsewhere only if they leave it in one
         # direction; such twins keep an id of their own (-1 - i, as every
@@ -289,8 +292,8 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
     (segment, vertex) then takes the exact interior test.
     """
     AX, AY, BX, BY = t.coords
-    VX, VY = (np.ascontiguousarray(d.vertices[:, c]).astype(t.dtype) for c in (0, 1))
-    points = int_column((VX, VY, VX * t.l3 + VY, VX - VY * t.l3))
+    VX, VY = (d.vertices[:, c].astype(t.span_dtype) for c in (0, 1))
+    points = (VX, VY, VX * t.l3 + VY, VX - VY * t.l3)
     ids = np.arange(len(VX))
     vertices = _Group(ids, [(c, c) for c in points], ids)
     for group in t.groups:
@@ -298,7 +301,7 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
             i = group.idx[ia]
             ax, ay = AX[i], AY[i]
             ux, uy = BX[i] - ax, BY[i] - ay
-            wx, wy = VX[iv] - ax, VY[iv] - ay
+            wx, wy = (V[iv].astype(t.dtype, copy=False) - a for V, a in ((VX, ax), (VY, ay)))
             dot = ux * wx + uy * wy
             hit = (ux * wy - uy * wx == 0) & (dot > 0) & (dot < ux * ux + uy * uy)
             for s, v in zip(i[hit].tolist(), iv[hit].tolist()):
@@ -530,17 +533,15 @@ def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
     return k1, side, sorted(passes, key=lambda k: (passes[k], counts[k]))
 
 
-def _span_pairs(
-    a: _Group, b: _Group | None, stars: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (ia, ib) member chunks whose closed spans overlap on x, y, p, q.
 
     The overlaps are counted on each projection, and ``_plan`` chooses the
-    pairs to expand. With ``stars``, a pair whose members end at one vertex
-    is dropped as soon as it is expanded. The filters then check each
-    chunk one projection at a time, and the chunk shrinks after each, so a
-    chunk the first filter empties costs no more. With ``b`` None, pairs
-    within ``a`` are listed.
+    pairs to expand. A pair whose members have one ``star`` (they end at
+    one vertex) is dropped as soon as it is expanded. The filters then
+    check each chunk one projection at a time, and the chunk shrinks after
+    each, so a chunk the first filter empties costs no more. With ``b``
+    None, pairs within ``a`` are listed.
     """
     counts = [_overlap_count(a, b, k) for k in range(4)]
     if not min(counts):
@@ -554,9 +555,8 @@ def _span_pairs(
             chunks = _boxes(owners, start, stop, own, oth, k1, side)
         for io, ix in chunks:
             ia, ib = (ix, io) if flip else (io, ix)
-            if stars:
-                keep = np.flatnonzero(a.star[ia] != other.star[ib])
-                ia, ib = ia[keep], ib[keep]
+            keep = np.flatnonzero(a.star[ia] != other.star[ib])
+            ia, ib = ia[keep], ib[keep]
             for k in filters:
                 keep = np.flatnonzero(_meet(a, ia, other, ib, k))
                 ia, ib = ia[keep], ib[keep]
@@ -567,15 +567,15 @@ def _span_pairs(
 
 
 def _family_pair_candidates(
-    groups: list, pairs: tuple, stars: bool = False
+    groups: list, pairs: tuple
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (fa, fb, i, j): segment index chunks from families fa and fb
-    whose closed spans overlap on x, y, p and q; with ``stars``, less the
-    pairs of segments that end at one vertex."""
+    whose closed spans overlap on x, y, p and q, less the pairs of segments
+    that end at one vertex and leave it in different directions."""
     for fa, fb in pairs:
         a = groups[fa]
         b = None if fa == fb else groups[fb]
-        for ia, ib in _span_pairs(a, b, stars):
+        for ia, ib in _span_pairs(a, b):
             yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
 
 
@@ -719,7 +719,7 @@ def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     enumerated, for the scalar classifier to report, only when a count
     that must be zero is not.
     """
-    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS, stars=True):
+    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
         _confirm_general(t, ia, jb, found, defects)
     strict, surplus = _count_pos_neg(t)
     if surplus or strict[~_ALLOWED].any():

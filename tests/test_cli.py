@@ -100,6 +100,17 @@ class TestValidate:
         assert report["crossing_count"] == 7760
         assert report["violations"] == []
 
+    def test_report_to_stdout_is_the_report_alone(self, k16_file, tmp_path, capsysbinary):
+        # With the report on stdout, the verdict goes to stderr, so stdout
+        # holds the very bytes a report file gets.
+        path = tmp_path / "r.json"
+        assert main(["validate", str(k16_file), "--report", str(path)]) == 0
+        capsysbinary.readouterr()
+        assert main(["validate", str(k16_file), "--report", "-"]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == path.read_bytes()
+        assert captured.err.endswith(b"certified RAC: yes\n")
+
     def test_refused_report_prints_no_verdict(self, k16_file, tmp_path, monkeypatch, capsys):
         # A report above the listing limit is a usage error: nothing may
         # read as a certificate, and no file is written.

@@ -334,6 +334,7 @@ class TestAreaBoundAtScale:
         # crossing numerators pass the int64 bound, but every span fits.
         t = _Table(_witness(32))
         assert t.dtype is object
+        assert t.span_dtype is np.int64
         assert _span_dtypes(t) == {np.dtype(np.int64)}
 
     def test_area_ratio_falls_towards_16(self):
@@ -347,9 +348,18 @@ class TestAreaBoundAtScale:
         assert ratios[-1] > 16
 
 
+def _own_stars(t):
+    """``t``'s groups with each member's star its own id (-1 - idx), so the
+    sweep drops no pair that ends at one vertex and lists every pair whose
+    closed spans overlap."""
+    for group in t.groups:
+        group.star = -1 - group.idx
+    return t.groups
+
+
 def _candidates(d):
     """(kind, segment_i, segment_j) for every pair the sorted-span sweep
-    lists, POS x NEG included.
+    lists over ``_own_stars`` groups, POS x NEG included.
 
     Pairs within one exact slope family are "collinear" candidates, all
     others "crossing" candidates; segment s is class s % 7 + 1 of edge
@@ -357,7 +367,7 @@ def _candidates(d):
     """
     out = []
     for fa, fb, ia, jb in validator._family_pair_candidates(
-        _Table(d).groups, validator._FAMILY_PAIRS
+        _own_stars(_Table(d)), validator._FAMILY_PAIRS
     ):
         kind = "collinear" if fa == fb != validator._VAR else "crossing"
         out.extend((kind, i, j) for i, j in zip(ia.tolist(), jb.tolist()))
@@ -433,7 +443,7 @@ class TestFilteredPairStream:
             got = [
                 (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
                 for fa, fb, ia, jb in validator._family_pair_candidates(
-                    _Table(d).groups, validator._FAMILY_PAIRS
+                    _own_stars(_Table(d)), validator._FAMILY_PAIRS
                 )
                 for i, j in zip(ia.tolist(), jb.tolist())
             ]
@@ -453,7 +463,7 @@ class TestFilteredPairStream:
         monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", chunk)
         moved = _transform(k16, 1 << 70, -(1 << 70), rotate=True)
         for d in [k16, moved, *_c6_drawings()] if chunk > 7 else [k16]:
-            t, want = _Table(d), _reference_candidates(d)
+            groups, want = _own_stars(_Table(d)), _reference_candidates(d)
             for k1 in range(4):
                 for side in (None, 0, 1):
                     plan = (k1, side, [k for k in range(4) if k != k1])
@@ -461,7 +471,7 @@ class TestFilteredPairStream:
                     got = [
                         (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
                         for fa, fb, ia, jb in validator._family_pair_candidates(
-                            t.groups, validator._FAMILY_PAIRS
+                            groups, validator._FAMILY_PAIRS
                         )
                         for i, j in zip(ia.tolist(), jb.tolist())
                     ]
@@ -481,12 +491,12 @@ class TestFilteredPairStream:
 
     def test_modes_agree_in_chunks_of_7(self, k16, monkeypatch):
         # Brute and filtered agree on each of these at the default chunk;
-        # each magnitude regime is taken once, in one of its variants.
+        # each magnitude offset is taken once, in one of its variants.
         listed = [k16, *_c6_drawings(), *_corrupted(k16)]
         variants = TestMagnitudeRegimes.VARIANTS.values()
         moved = [
             _transform(k16, 1 << bits, -(1 << bits), **variant)
-            for bits, variant in zip(TestMagnitudeRegimes.OFFSETS, [*variants, {}])
+            for bits, variant in zip(TestMagnitudeRegimes.OFFSETS, [*variants, {}] * 2)
         ]
         want = [validate(d, FILTERED) for d in listed + moved]
         monkeypatch.setattr(validator, "_CANDIDATE_CHUNK", 7)
@@ -500,7 +510,7 @@ class TestFilteredPairStream:
 
 class TestSweepAnatomy:
     # Pairs whose spans overlap on x, y, p and q, per swept family pair of
-    # the 81-vertex complete drawing.
+    # the 81-vertex complete drawing, shared-vertex pairs included.
     POS, NEG, VERT, VAR = validator._POS, validator._NEG, validator._VERT, validator._VAR
     K81 = {
         (POS, POS): 18,
@@ -517,7 +527,7 @@ class TestSweepAnatomy:
     def test_k81_survivors_per_family_pair(self, k81):
         got = dict.fromkeys(validator._SWEPT_PAIRS, 0)
         for fa, fb, i, _ in validator._family_pair_candidates(
-            _Table(k81).groups, validator._SWEPT_PAIRS
+            _own_stars(_Table(k81)), validator._SWEPT_PAIRS
         ):
             got[fa, fb] += len(i)
         assert got == self.K81
@@ -525,9 +535,7 @@ class TestSweepAnatomy:
     def test_k81_star_drop_leaves_240_var_pairs(self, k81):
         # All but 240 of the VAR x VAR pairs are an S1 or S7 against another
         # at the same vertex.
-        pairs = validator._family_pair_candidates(
-            _Table(k81).groups, ((self.VAR, self.VAR),), stars=True
-        )
+        pairs = validator._family_pair_candidates(_Table(k81).groups, ((self.VAR, self.VAR),))
         assert sum(len(i) for _, _, i, _ in pairs) == 240
 
 
@@ -727,11 +735,14 @@ class TestMagnitudeRegimes:
     # Each offset drives the table into one (product dtype, span dtype)
     # regime. Products are int64 up to 2**29 (8 * max_abs**2 stays below
     # 2**62) and NumPy object ints beyond; spans, and the sweep's sorts and
-    # binary searches over them, stay int64 while every value fits.
+    # binary searches over them, stay int64 while max_abs * (l^3 + 1) < 2**63
+    # (K16: l^3 + 1 = 9, so up to 2**59), all four projections at once.
     OFFSETS = {
         20: (np.int64, np.int64),
         29: (np.int64, np.int64),
         40: (object, np.int64),
+        59: (object, np.int64),
+        60: (object, object),
         63: (object, object),
         70: (object, object),
     }
