@@ -85,7 +85,7 @@ def cmd_validate(args) -> int:
     drawing = loads_drawing(_read_text(args.file))
     report = validate(drawing, ValidationMode(args.mode))
     # Built first, so a refused listing prints no verdict and writes no file.
-    data = report.to_json_bytes() if args.report else None
+    chunks = report.json_chunks() if args.report else None
     # A report on stdout keeps it to itself; the verdict goes to stderr.
     say = partial(print, file=sys.stderr if args.report == "-" else sys.stdout)
     say(f"drawing: n={report.n} m={report.m}")
@@ -98,8 +98,8 @@ def cmd_validate(args) -> int:
     if len(report.violations) > 20:
         say(f"  ... and {len(report.violations) - 20} more")
     say(f"certified RAC: {'yes' if report.ok else 'NO'}")
-    if data is not None:
-        _write_bytes(args.report, data, b"\n")
+    if chunks is not None:
+        _write_bytes(args.report, *chunks, b"\n")
     return 0 if report.ok else 1
 
 

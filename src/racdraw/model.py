@@ -274,7 +274,7 @@ class CrossingReport:
     NumPy columns (segment_a, segment_b, x_num, y_num, den, perp), where
     segment s is class s % 7 + 1 of edge s // 7, integer columns are int64
     or object arrays of Python ints, and den > 0. ``listing`` and
-    ``to_json_bytes`` call it each time and put the result in canonical
+    ``json_chunks`` call it each time and put the result in canonical
     order ((edge_a, edge_b, class_a, class_b); that key is unique per
     segment pair), so identical drawings always serialize to identical
     bytes regardless of how the report was computed, and nothing of the
@@ -340,7 +340,12 @@ class CrossingReport:
         return tuple(c.tolist() for c in (*keys, x // g, y // g, den // g, perp))
 
     def to_json_bytes(self) -> bytes:
-        """The canonical ``rac-report/1`` bytes.
+        """The canonical ``rac-report/1`` bytes: ``json_chunks`` joined."""
+        return b"".join(self.json_chunks())
+
+    def json_chunks(self) -> list[bytes]:
+        """The canonical ``rac-report/1`` bytes as a list of chunks (head,
+        rows, tail), for a writer that need not hold them joined.
 
         Written as ``json.dumps`` with sorted keys and separators
         ``(",", ":")`` would write the report: every key is a fixed name and
@@ -380,7 +385,7 @@ class CrossingReport:
             f'],"m":{self.m},"n":{self.n},"pair_counts":{{{pairs}}},'
             f'"schema":"rac-report/1","violations":[{violations}]}}'
         )
-        return b"".join((head.encode("ascii"), *crossings, tail.encode("ascii")))
+        return [head.encode("ascii"), *crossings, tail.encode("ascii")]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossingReport):

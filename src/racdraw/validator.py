@@ -8,13 +8,13 @@ defects as data. Two modes exist:
 * ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs, each
   classified in Python big-int arithmetic from ints read out of the
   table's arrays, recording every crossing; the trust anchor.
-* ``FILTERED``: visits only pairs whose closed spans overlap on every
-  projection, found by a sorted-span sweep, and confirms them in vector
-  form; the one family pair that crosses in a valid drawing is counted,
-  not visited (below). Segments of one exact slope family can only
-  overlap, never cross. Family membership is decided by each segment's
-  actual direction, not by its class label, so corrupted inputs cannot
-  defeat the filter.
+* ``FILTERED``: visits only pairs that can meet at a point interior to one
+  of them, found by a sorted-span sweep (below), and classifies them with
+  the brute scan's own exact code; the one family pair that crosses in a
+  valid drawing is counted, not visited. Segments of one exact slope
+  family can only overlap, never cross. Family membership is decided by
+  each segment's actual direction, not by its class label, so corrupted
+  inputs cannot defeat the filter.
 
 Both modes must produce byte-identical reports. The report holds the
 crossing counts per class pair and lists the crossings only when asked:
@@ -34,26 +34,35 @@ them, by binary search over ends sorted in (p, q). Two counts must be
 zero: boundary meets other than a shared endpoint (an endpoint on the
 other's interior) and any strict meet of a disallowed class pair. When
 either is not, the POS x NEG pairs are enumerated and each offending
-pair is reported exactly. Every other family pair is swept: the sweep
-counts the closed-span overlaps on each of x, y, p and q from sorted ends
-and expands, in chunks of bounded size, the pairs of one projection: all
-of them, or, where a sample shows it cheaper, those that also meet one
-half of its partner (x with y, p with q), read off blocks of a Fenwick
-decomposition sorted on the partner (Six & Wood 1982). The other
-projections filter each chunk. Every sweep drops a pair of segments that
-end at one vertex as it is expanded, unless both leave the vertex in one
-direction, the only way they can meet elsewhere. Both modes find segments
-through vertices with the same sweep, vertices taking part as zero-length
-spans, and a segment's own end vertex is dropped the same way.
+pair is reported exactly. Every other family pair is swept over each
+segment's open interior on x, y, p and q: a point interior to either of
+two segments that meet lies strictly inside the span of each on every
+projection where that segment is not constant, and equals it where it
+is, so a pair that misses this can meet only at an endpoint of both,
+which neither mode reports. The sweep counts the overlaps on each
+projection from sorted ends and expands, in chunks of bounded size, the
+pairs of one projection: all of them, or, where a sample shows it
+cheaper, those that also meet one half of its partner (x with y, p with
+q), read off blocks of a Fenwick decomposition sorted on the partner
+(Six & Wood 1982). The other projections filter each chunk. Every sweep
+drops a pair of segments that end at one vertex as it is expanded,
+unless both leave the vertex in one direction, the only way they can
+meet elsewhere. Both modes find segments through vertices with the same
+sweep, vertices taking part as points, and a segment's own end vertex is
+dropped the same way.
 
-Two dtypes are chosen per drawing, each int64 below a bound and NumPy
-object arrays of Python ints beyond it, through the same code. Spans, and
-the sorts and binary searches over them, are int64 while
-max_abs * (l^3 + 1) < 2**63, which bounds |p| and |q|. Products are int64
-while max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
+Spans are held in quarter units, so that one closed-overlap test decides
+all of this: a span [lo, hi] with lo < hi as [4*lo + 1, 4*hi - 1], a
+constant one v as [4*v - 1, 4*v + 1], a vertex as [4*v, 4*v]; (v + 1) // 4
+reads any lo or hi back. Two dtypes are chosen per drawing, each int64
+below a bound and NumPy object arrays of Python ints beyond it, through
+the same code. Spans, and the sorts and binary searches over them, are
+int64 while max_abs * (l^3 + 1) < 2**61, which bounds 4*|p| + 1 and
+4*|q| + 1. Products are int64 while
+max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
 orientation product and each rotated crossing numerator, and implies the
-span bound; a span value is cast to the product dtype only where it enters
-a product.
+span bound; a span value is read back and cast to the product dtype only
+where it enters a product.
 """
 
 from __future__ import annotations
@@ -176,9 +185,12 @@ def segment_pair(s, r):
 class _Group:
     """Members of one slope family, or the vertices, sorted per projection.
 
-    ``ends[k]`` holds, for projection k, the members in ascending lo, their
-    lo values in that order and their hi values sorted; ``star[i]`` is the
-    vertex id member i ends at, or a negative id of its own.
+    ``spans[k]`` holds the members' (lo, hi) on projection k in quarter
+    units, so that two members' closed spans overlap iff they can meet at
+    a point interior to one of them (module docstring). ``ends[k]`` holds
+    the members in ascending lo, their lo values in that order and their
+    hi values sorted; ``star[i]`` is the vertex id member i ends at, or a
+    negative id of its own.
     """
 
     __slots__ = ("idx", "star", "spans", "ends")
@@ -204,9 +216,9 @@ class _Table:
     dtype of every product; no Python-list copy is kept, and the scalar
     path reads ints out of these arrays for just the pairs it classifies.
     ``groups`` holds the four slope families, each sorted for the sweep and
-    holding its members' closed (lo, hi) intervals on x, y, p and q, where
-    p = x*l^3 + y and q = x - y*l^3, all of ``span_dtype``; no table-wide
-    copy is kept. ``bbox`` is the drawing's bounding box.
+    holding its members' spans on x, y, p and q, where p = x*l^3 + y and
+    q = x - y*l^3, in quarter units of ``span_dtype``; no table-wide copy
+    is kept. ``bbox`` is the drawing's bounding box.
     """
 
     __slots__ = ("l3", "dtype", "span_dtype", "coords", "family", "classes", "bbox", "groups")
@@ -218,12 +230,17 @@ class _Table:
         dtype = self.dtype = (
             np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
         )
-        self.span_dtype = np.int64 if big * (l3 + 1) < 1 << 63 else object
+        self.span_dtype = np.int64 if big * (l3 + 1) < 1 << 61 else object
         lines = d.polylines().astype(self.span_dtype)
         AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
         BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
         ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
-        spans = [(np.minimum(a, b), np.maximum(a, b)) for a, b in ends]
+        spans = []
+        for a, b in ends:
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            # Quarter units: the open interior, or a constant value widened.
+            side = np.where(lo < hi, 1, -1)
+            spans.append((4 * lo + side, 4 * hi - side))
         AX, AY, BX, BY = self.coords = tuple(c.astype(dtype, copy=False) for c in (AX, AY, BX, BY))
         self.classes = np.arange(len(AX)) % 7 + 1
         ux, uy = BX - AX, BY - AY
@@ -293,7 +310,7 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
     """
     AX, AY, BX, BY = t.coords
     VX, VY = (d.vertices[:, c].astype(t.span_dtype) for c in (0, 1))
-    points = (VX, VY, VX * t.l3 + VY, VX - VY * t.l3)
+    points = (4 * VX, 4 * VY, 4 * (VX * t.l3 + VY), 4 * (VX - VY * t.l3))
     ids = np.arange(len(VX))
     vertices = _Group(ids, [(c, c) for c in points], ids)
     for group in t.groups:
@@ -384,8 +401,9 @@ _SAMPLE = 1 << 10
 
 def _overlap_count(a: _Group, b: _Group | None, k: int) -> int:
     """The member pairs of ``a`` x ``b``, or within ``a`` if ``b`` is None,
-    whose closed spans overlap on projection k: every pair less those where
-    one span ends before the other starts, counted from sorted ends."""
+    whose quarter-unit spans overlap on projection k, so that they can meet
+    at a point interior to one of them: every pair less those where one
+    span ends before the other starts, counted from sorted ends."""
     _, lo_a, hi_a = a.ends[k]
     if b is None:
         return len(lo_a) * (len(lo_a) - 1) // 2 - int(np.searchsorted(hi_a, lo_a).sum())
@@ -395,7 +413,7 @@ def _overlap_count(a: _Group, b: _Group | None, k: int) -> int:
 
 
 def _runs(a: _Group, b: _Group | None, k: int, step: int = 1) -> list[tuple]:
-    """The member pairs of ``a`` x ``b`` whose closed spans overlap on
+    """The member pairs of ``a`` x ``b`` whose quarter-unit spans overlap on
     projection k, as range sets (flip, owners, start, stop, own, other):
     member owners[i] of ``own`` overlaps the members at positions
     start[i]:stop[i] of ``other`` in ascending lo, and ``flip`` marks owners
@@ -534,7 +552,8 @@ def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
 
 
 def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (ia, ib) member chunks whose closed spans overlap on x, y, p, q.
+    """Yield (ia, ib) member chunks whose quarter-unit spans overlap on x, y,
+    p and q: every pair that can meet at a point interior to one of them.
 
     The overlaps are counted on each projection, and ``_plan`` chooses the
     pairs to expand. A pair whose members have one ``star`` (they end at
@@ -570,8 +589,11 @@ def _family_pair_candidates(
     groups: list, pairs: tuple
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield (fa, fb, i, j): segment index chunks from families fa and fb
-    whose closed spans overlap on x, y, p and q, less the pairs of segments
-    that end at one vertex and leave it in different directions."""
+    that can meet at a point interior to one of them (their open interiors
+    overlap on each projection where both vary, and each constant value
+    lies in the other's span), less the pairs of segments that end at one
+    vertex and leave it in different directions. Any other pair meets, if
+    at all, at an endpoint of both, which ``_classify`` calls shared."""
     for fa, fb in pairs:
         a = groups[fa]
         b = None if fa == fb else groups[fb]
@@ -616,6 +638,12 @@ def _stabbed(group, lo, hi, at_group, at, top: int) -> int:
     return int((np.searchsorted(starts, keys, "right") - np.searchsorted(ends, keys)).sum())
 
 
+def _raw_spans(pos: _Group, neg: _Group) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (lo, hi) of POS's p and q spans, then NEG's, read back from
+    quarter units."""
+    return [tuple((v + 1) // 4 for v in g.spans[k]) for g in (pos, neg) for k in (2, 3)]
+
+
 def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     """Count the POS x NEG meets without listing them.
 
@@ -630,8 +658,7 @@ def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     nor a shared endpoint, which is an endpoint on the other's interior.
     """
     pos, neg = t.groups[_POS], t.groups[_NEG]
-    (p_lo, p_hi), (q, _) = pos.spans[2:]
-    (p, _), (q_lo, q_hi) = neg.spans[2:]
+    (p_lo, p_hi), (q, _), (p, _), (q_lo, q_hi) = _raw_spans(pos, neg)
     n_pos, n_neg = len(q), len(p)
     grid = np.zeros((8, 8), dtype=np.int64)
     if n_pos == 0 or n_neg == 0:
@@ -673,8 +700,7 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
     nor a shared endpoint; the exact scalar classifier reports them.
     """
     pos, neg = t.groups[_POS], t.groups[_NEG]
-    (p_lo, p_hi), (q, _) = pos.spans[2:]
-    (p, _), (q_lo, q_hi) = neg.spans[2:]
+    (p_lo, p_hi), (q, _), (p, _), (q_lo, q_hi) = _raw_spans(pos, neg)
     for ia, ib in _span_pairs(pos, neg):
         i, j, p_j, q_i = pos.idx[ia], neg.idx[ib], p[ib], q[ia]
         p_end = (p_j == p_lo[ia]) | (p_j == p_hi[ia])
@@ -683,44 +709,14 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
         yield i, j, p_j, q_i, clean, ~clean & ~(p_end & q_end)
 
 
-# ---------------------------------------------------------------------------
-# Vector confirmation
-# ---------------------------------------------------------------------------
-
-
-def _confirm_general(t: _Table, i, j, found, defects) -> None:
-    """Drop pairs that are disjoint or share just an endpoint, in vector form.
-
-    Only POS x NEG pairs cross in a drawing the layout engine made, so the
-    pairs left here are rare defects; the exact scalar classifier reports them.
-    """
-    AX, AY, BX, BY = t.coords
-    ax, ay = AX[i], AY[i]
-    ux, uy = BX[i] - ax, BY[i] - ay
-    cx, cy = AX[j], AY[j]
-    vx, vy = BX[j] - cx, BY[j] - cy
-    rx, ry = cx - ax, cy - ay
-    den = ux * vy - uy * vx
-    tn = rx * vy - ry * vx
-    un = rx * uy - ry * ux
-    neg = den < 0
-    den = np.where(neg, -den, den)
-    tn = np.where(neg, -tn, tn)
-    un = np.where(neg, -un, un)
-    inside = (tn >= 0) & (tn <= den) & (un >= 0) & (un <= den)
-    shared = ((tn == 0) | (tn == den)) & ((un == 0) | (un == den))
-    hit = np.where(den == 0, ux * ry - uy * rx == 0, inside & ~shared)
-    _finish_pairs(t, i[hit], j[hit], found, defects)
-
-
 def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     """Sweep every family pair but POS x NEG, count POS x NEG, and return
-    the counted crossings per class pair. The POS x NEG pairs are
-    enumerated, for the scalar classifier to report, only when a count
+    the counted crossings per class pair. The swept pairs go to the scalar
+    classifier; the POS x NEG pairs are enumerated for it only when a count
     that must be zero is not.
     """
     for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
-        _confirm_general(t, ia, jb, found, defects)
+        _finish_pairs(t, ia, jb, found, defects)
     strict, surplus = _count_pos_neg(t)
     if surplus or strict[~_ALLOWED].any():
         for i, j, _, _, _, rest in _pos_neg_pairs(t):

@@ -111,6 +111,20 @@ class TestValidate:
         assert captured.out == path.read_bytes()
         assert captured.err.endswith(b"certified RAC: yes\n")
 
+    def test_report_is_written_from_its_chunks(
+        self, k16_file, tmp_path, k16_filtered, monkeypatch
+    ):
+        # The report file is written chunk by chunk, never joined whole.
+        want = k16_filtered[0].to_json_bytes() + b"\n"
+
+        def refuse(report):
+            raise AssertionError("report joined")
+
+        monkeypatch.setattr("racdraw.model.CrossingReport.to_json_bytes", refuse)
+        path = tmp_path / "r.json"
+        assert main(["validate", str(k16_file), "--report", str(path)]) == 0
+        assert path.read_bytes() == want
+
     def test_refused_report_prints_no_verdict(self, k16_file, tmp_path, monkeypatch, capsys):
         # A report above the listing limit is a usage error: nothing may
         # read as a certificate, and no file is written.

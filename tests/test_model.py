@@ -132,7 +132,7 @@ class TestReportWriterOracle:
         assert reports["k16"]._columns()[4].dtype == np.int64
 
 
-@pytest.mark.parametrize("write", ["listing", "to_json_bytes"])
+@pytest.mark.parametrize("write", ["listing", "to_json_bytes", "json_chunks"])
 def test_listing_refused_above_limit_before_enumerating(write):
     def enumerate_crossings():
         raise AssertionError("crossings enumerated")
