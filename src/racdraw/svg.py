@@ -161,4 +161,8 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
         parts += _group(attrs, len(q), (*markers, marker_radius))
 
     parts.append(b"</svg>\n")
-    return b"".join(parts).decode("ascii")
+    # The row chunks are freed before the text is decoded, so at most two
+    # copies of the document are held at once.
+    text = b"".join(parts)
+    del parts
+    return text.decode("ascii")

@@ -48,8 +48,9 @@ q), read off blocks of a Fenwick decomposition sorted on the partner
 drops a pair of segments that end at one vertex as it is expanded,
 unless both leave the vertex in one direction, the only way they can
 meet elsewhere. Both modes find segments through vertices with the same
-sweep, vertices taking part as points, and a segment's own end vertex is
-dropped the same way.
+sweep, vertices taking part as points: one it keeps is strictly inside a
+segment's span wherever that varies, and on its line where a POS, NEG or
+VERT segment is constant, so only a VAR segment can miss the line test.
 
 Spans are held in quarter units, so that one closed-overlap test decides
 all of this: a span [lo, hi] with lo < hi as [4*lo + 1, 4*hi - 1], a
@@ -71,7 +72,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -106,8 +107,9 @@ for _a, _b in ALLOWED_CLASS_PAIRS:
 
 # int64 is exact while every vector expression stays below this.
 _INT64_BOUND = 1 << 62
-# Candidate pairs expanded per sweep step; bounds the step's temporaries.
-_CANDIDATE_CHUNK = 1 << 18
+# Candidate pairs expanded per sweep step; bounds the step's temporaries
+# and the Python ints of a scalar chunk, which run slower at 2**18 pairs.
+_CANDIDATE_CHUNK = 1 << 14
 
 
 class ValidationMode(Enum):
@@ -305,8 +307,8 @@ def _scan_coincident_points(d: Drawing, defects: list[Defect]) -> None:
 def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None:
     """Flag any segment whose interior passes through a vertex point.
 
-    Vertices join the span sweep as zero-length spans; each candidate
-    (segment, vertex) then takes the exact interior test.
+    Vertices join the span sweep as points, and a candidate is on the
+    segment iff it is on its line (module docstring).
     """
     AX, AY, BX, BY = t.coords
     VX, VY = (d.vertices[:, c].astype(t.span_dtype) for c in (0, 1))
@@ -319,8 +321,7 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
             ax, ay = AX[i], AY[i]
             ux, uy = BX[i] - ax, BY[i] - ay
             wx, wy = (V[iv].astype(t.dtype, copy=False) - a for V, a in ((VX, ax), (VY, ay)))
-            dot = ux * wx + uy * wy
-            hit = (ux * wy - uy * wx == 0) & (dot > 0) & (dot < ux * ux + uy * uy)
+            hit = ux * wy == uy * wx
             for s, v in zip(i[hit].tolist(), iv[hit].tolist()):
                 defects.append(
                     Defect(
@@ -336,13 +337,9 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
 # ---------------------------------------------------------------------------
 
 
-def _finish_pairs(
-    t: _Table, i: np.ndarray | int, j: np.ndarray, found: list, defects: list
-) -> None:
+def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects: list) -> None:
     """Classify the segment pairs (i[k], j[k]) exactly with ``_classify``, in
-    Python ints read from the table's columns with one ``tolist`` each. ``i``
-    may also be one segment, paired with every j[k] (a row of the brute
-    scan), whose four ints are then read once.
+    Python ints read from the table's columns with one ``tolist`` each.
 
     Touches and collinear overlaps are reported. The proper crossings are
     appended to ``found`` as one chunk of columns (segment_a, segment_b,
@@ -354,13 +351,11 @@ def _finish_pairs(
     """
     # map hands the eight columns straight to _classify and compress picks
     # out the pairs that meet, both without a Python-level loop per pair.
-    row = np.ndim(i) == 0
-    left = [repeat(int(col[i])) if row else col[i].tolist() for col in t.coords]
-    right = [col[j].tolist() for col in t.coords]
+    left, right = ([col[k].tolist() for col in t.coords] for k in (i, j))
     results = list(map(_classify, *left, *right))
     hits = list(compress(range(len(results)), results))
     proper = []
-    for k, a, b in zip(hits, repeat(int(i)) if row else i[hits].tolist(), j[hits].tolist()):
+    for k, a, b in zip(hits, i[hits].tolist(), j[hits].tolist()):
         res = results[k]
         if res[0] == "shared":
             continue
@@ -402,14 +397,16 @@ _SAMPLE = 1 << 10
 def _overlap_count(a: _Group, b: _Group | None, k: int) -> int:
     """The member pairs of ``a`` x ``b``, or within ``a`` if ``b`` is None,
     whose quarter-unit spans overlap on projection k, so that they can meet
-    at a point interior to one of them: every pair less those where one
-    span ends before the other starts, counted from sorted ends."""
-    _, lo_a, hi_a = a.ends[k]
+    at a point interior to one of them, counted from sorted ends: per member
+    of the smaller group, the spans that start by its hi less those that end
+    before its lo; within ``a``, every pair less those that lie apart."""
     if b is None:
+        _, lo_a, hi_a = a.ends[k]
         return len(lo_a) * (len(lo_a) - 1) // 2 - int(np.searchsorted(hi_a, lo_a).sum())
-    _, lo_b, hi_b = b.ends[k]
-    apart = np.searchsorted(hi_a, lo_b).sum() + np.searchsorted(hi_b, lo_a).sum()
-    return len(lo_a) * len(lo_b) - int(apart)
+    if len(a.idx) > len(b.idx):
+        a, b = b, a
+    (_, lo_a, hi_a), (_, lo_b, hi_b) = a.ends[k], b.ends[k]
+    return int(np.searchsorted(lo_b, hi_a, "right").sum() - np.searchsorted(hi_b, lo_a).sum())
 
 
 def _runs(a: _Group, b: _Group | None, k: int, step: int = 1) -> list[tuple]:
@@ -725,11 +722,12 @@ def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
 
 
 def _run_brute(t: _Table, found: list, defects: list) -> None:
-    """Classify every pair of segments of nonzero length, one row of the
-    upper triangle at a time."""
+    """Classify every pair of segments of nonzero length, the upper triangle
+    in chunks of at most ``_CANDIDATE_CHUNK`` pairs."""
     act = np.flatnonzero(t.family != _ZERO)
-    for k in range(len(act) - 1):
-        _finish_pairs(t, act[k], act[k + 1 :], found, defects)
+    stop = np.full(len(act), len(act))
+    for i, j in _expand(act, np.arange(1, len(act) + 1), stop, act):
+        _finish_pairs(t, i, j, found, defects)
 
 
 def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:

@@ -31,13 +31,27 @@ from racdraw import (
 )
 from racdraw.layout import first_bend_index, params_from_n, vertex_slot
 
-# SHA-256 of dumps_drawing(draw_complete(n)), as recorded in the benchmark's
-# COMPLETE_FIGURES (racbench/workloads.py).
-COMPLETE_DIGESTS = {
+# SHA-256 of dumps_drawing(_pinned_drawing(n)). The complete drawings are
+# as recorded in the benchmark's COMPLETE_FIGURES (racbench/workloads.py).
+DRAWING_DIGESTS = {
     16: "b1846632fa0f63432a4057a245a109ab6e407a8b9c8a3209cbf67f36d08a7260",
     81: "62fefcceac22e251487be88eec090c6658f1c266147cefbb89ecc597dd14e03c",
     256: "dc46fc26ed530d104cf208c6d8e527a44bdd04b9ab4a23e4b07f24d5ad8e19bf",
+    50_000: "f81f9a345e68695fa6bf8bc09442f4d349fc1a62446acb73c050e7288eefa1d1",
 }
+
+
+def _pinned_drawing(n: int) -> Drawing:
+    """The complete drawing on n <= 256 vertices. Beyond, 40 seeded edges on
+    n vertices, one of them to the last vertex: at n = 50,000 (l = 15) the
+    last occupied level holds 50 of its 225 slots."""
+    if n <= 256:
+        return draw_complete(n)
+    rng = random.Random(n)
+    edges = {(0, n - 1)}
+    while len(edges) < 40:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return draw_graph(GraphInput(n, tuple(sorted(edges))))
 
 
 def _oracle_document(d: Drawing) -> str:
@@ -287,10 +301,10 @@ class TestDrawingDocument:
         assert back == moved and back.vertices.dtype == object
         assert json.loads(text)["vertices"][1]["x"] == str(2**70)
 
-    @pytest.mark.parametrize("n", sorted(COMPLETE_DIGESTS))
+    @pytest.mark.parametrize("n", sorted(DRAWING_DIGESTS))
     def test_complete_drawing_digests_are_pinned(self, n):
-        text = dumps_drawing(draw_complete(n))
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == COMPLETE_DIGESTS[n]
+        text = dumps_drawing(_pinned_drawing(n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == DRAWING_DIGESTS[n]
 
     def test_text_round_trip_on_random_graphs(self):
         rng = random.Random(0xC6)

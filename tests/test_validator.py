@@ -488,11 +488,21 @@ class TestFilteredPairStream:
                     assert len(got) == len(set(got))
                     assert set(got) == want
 
-    def test_overlap_counts_are_exact(self, k16):
+    def test_overlap_counts_are_exact(self, k16, monkeypatch):
         for d in [k16, *_c6_drawings()[:5]]:
-            groups = _Table(d).groups
-            for fa, fb in validator._FAMILY_PAIRS:
-                a, b = groups[fa], None if fa == fb else groups[fb]
+            t = _Table(d)
+            groups = t.groups
+            pairs = [(groups[a], None if a == b else groups[b]) for a, b in validator._FAMILY_PAIRS]
+
+            def capture(a, b):
+                # Each family against the piercing scan's own vertex group.
+                pairs.append((a, b))
+                return iter(())
+
+            monkeypatch.setattr(validator, "_span_pairs", capture)
+            validator._scan_vertex_piercings(t, d, [])
+            assert len(pairs) == len(validator._FAMILY_PAIRS) + 4
+            for a, b in pairs:
                 for k in range(4):
                     (lo_a, hi_a), (lo_b, hi_b) = a.spans[k], (b or a).spans[k]
                     meet = (lo_a[:, None] <= hi_b[None, :]) & (lo_b[None, :] <= hi_a[:, None])
