@@ -189,24 +189,22 @@ class _Group:
 
     ``spans[k]`` holds the members' (lo, hi) on projection k in quarter
     units, so that two members' closed spans overlap iff they can meet at
-    a point interior to one of them (module docstring). ``ends[k]`` holds
-    the members in ascending lo, their lo values in that order and their
-    hi values sorted; ``star[i]`` is the vertex id member i ends at, or a
-    negative id of its own.
+    a point interior to one of them (module docstring); a point group
+    passes one column as both. ``star[i]`` is the vertex id member i ends
+    at, or a negative id of its own. The caller slices the columns, and
+    they are stored as given: only ``ends[k]`` is built, the members in
+    ascending lo, their lo values in that order and their hi values sorted,
+    the sorted lo again where hi is lo.
     """
 
     __slots__ = ("idx", "star", "spans", "ends")
 
-    def __init__(self, idx: np.ndarray, spans: tuple, star: np.ndarray):
-        self.idx = idx
-        self.star = star[idx]
-        self.spans, self.ends = [], []
+    def __init__(self, idx: np.ndarray, spans: list, star: np.ndarray):
+        self.idx, self.star, self.spans, self.ends = idx, star, spans, []
         for lo, hi in spans:
-            # Zero-length spans (the vertices) are sorted once.
-            lo, hi = (lo[idx], hi[idx]) if hi is not lo else (lo[idx],) * 2
             order = np.argsort(lo, kind="stable")
-            self.spans.append((lo, hi))
-            self.ends.append((order, lo[order], lo[order] if hi is lo else np.sort(hi)))
+            lo_sorted = lo[order]
+            self.ends.append((order, lo_sorted, lo_sorted if hi is lo else np.sort(hi)))
 
 
 class _Table:
@@ -219,8 +217,9 @@ class _Table:
     path reads ints out of these arrays for just the pairs it classifies.
     ``groups`` holds the four slope families, each sorted for the sweep and
     holding its members' spans on x, y, p and q, where p = x*l^3 + y and
-    q = x - y*l^3, in quarter units of ``span_dtype``; no table-wide copy
-    is kept. ``bbox`` is the drawing's bounding box.
+    q = x - y*l^3, in quarter units of ``span_dtype``: the table slices
+    each family's spans and ``star`` once, and keeps no table-wide copy.
+    ``bbox`` is the drawing's bounding box.
     """
 
     __slots__ = ("l3", "dtype", "span_dtype", "coords", "family", "classes", "bbox", "groups")
@@ -233,7 +232,7 @@ class _Table:
             np.int64 if big * max(8 * big, (l3 + 1) ** 2) < _INT64_BOUND else object
         )
         self.span_dtype = np.int64 if big * (l3 + 1) < 1 << 61 else object
-        lines = d.polylines().astype(self.span_dtype)
+        lines = d.polylines().astype(self.span_dtype, copy=False)
         AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
         BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
         ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
@@ -266,7 +265,8 @@ class _Table:
         same = np.flatnonzero(np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys]))
         twins = at[order[np.concatenate((same, same + 1))]]
         star[twins] = -1 - twins
-        self.groups = [_Group(np.nonzero(fam == f)[0], spans, star) for f in range(4)]
+        members = (np.flatnonzero(fam == f) for f in range(4))
+        self.groups = [_Group(i, [(lo[i], hi[i]) for lo, hi in spans], star[i]) for i in members]
 
     def label(self, i: int) -> str:
         return f"segment:{i // 7}:S{i % 7 + 1}"
@@ -308,10 +308,13 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
     """Flag any segment whose interior passes through a vertex point.
 
     Vertices join the span sweep as points, and a candidate is on the
-    segment iff it is on its line (module docstring).
+    segment iff it is on its line (module docstring). The point group
+    holds the four point columns and ``ids`` as they are built here, each
+    n long and stored once: one column is both ends of a point's span,
+    and ``ids`` both its members and their stars.
     """
     AX, AY, BX, BY = t.coords
-    VX, VY = (d.vertices[:, c].astype(t.span_dtype) for c in (0, 1))
+    VX, VY = (d.vertices[:, c].astype(t.span_dtype, copy=False) for c in (0, 1))
     points = (4 * VX, 4 * VY, 4 * (VX * t.l3 + VY), 4 * (VX - VY * t.l3))
     ids = np.arange(len(VX))
     vertices = _Group(ids, [(c, c) for c in points], ids)
@@ -497,11 +500,6 @@ def _boxes(owners, start, stop, own: _Group, other: _Group, k1: int, side: int):
         yield from _expand(owners[i], node << level, cut, order[by])
 
 
-def _meet(a: _Group, ia, b: _Group, ib, k: int) -> np.ndarray:
-    (lo_a, hi_a), (lo_b, hi_b) = a.spans[k], b.spans[k]
-    return (lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])
-
-
 def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
     """Choose how to expand the overlaps of ``a`` x ``b``: (k1, side,
     filters) expands the pairs that overlap on projection k1, with
@@ -512,40 +510,33 @@ def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
     default. ``_boxes`` costs about two steps per level for each member on
     top of the pairs it expands, which a sample of each projection's
     overlaps estimates: evenly spaced in the runs of every ``step``-th
-    owner. The cheapest way wins, which changes cost, never output. The
-    filters start with the projection that passes the fewest sampled pairs
-    of the way chosen.
+    owner, of which only the share passing each half is kept. The
+    cheapest way wins, which changes cost, never output. The filters are
+    the other projections in ascending exact overlap count.
     """
-    other = a if b is None else b
     size = len(a.idx) + (0 if b is None else len(b.idx))
     overhead, step = 2 * size * size.bit_length(), -(-size // _SAMPLE)
     k1 = min(range(4), key=counts.__getitem__)
-    best, drawn = (counts[k1], k1, None), {}
+    best = (counts[k1], k1, None)
     # No walk beats expanding fewer pairs than its overhead.
     for k in range(4) if counts[k1] > overhead else ():
         sets = _runs(a, b, k, step)
         total = sum(int((s[3] - s[2]).sum()) for s in sets)
         if not total:
             continue
-        cols = []
-        for flip, owners, start, stop, own, oth in sets:
+        halves = []
+        for _, owners, start, stop, own, oth in sets:
             ends = np.cumsum(stop - start)
             pos = np.arange(0, int(ends[-1]) * _SAMPLE, total) // _SAMPLE
             i = np.searchsorted(ends, pos, "right")
             io, ix = owners[i], oth.ends[k][0][start[i] + pos - ends[i] + stop[i] - start[i]]
             (lo_o, hi_o), (lo_x, hi_x) = own.spans[k ^ 1], oth.spans[k ^ 1]
-            halves = (lo_x[ix] <= hi_o[io], hi_x[ix] >= lo_o[io])
-            cols.append(((ix, io) if flip else (io, ix)) + halves)
-        drawn[k] = [np.concatenate(c) for c in zip(*cols)]
-        for side, half in enumerate(drawn[k][2:]):
+            halves.append((lo_x[ix] <= hi_o[io], hi_x[ix] >= lo_o[io]))
+        for side, half in enumerate(map(np.concatenate, zip(*halves))):
             cost = counts[k] * int(half.sum()) // len(half) + overhead
             best = min(best, (cost, k, side), key=lambda plan: plan[0])
     _, k1, side = best
-    ia, ib, *halves = drawn.get(k1, np.zeros((4, 0), dtype=np.int64))
-    if side is not None:
-        ia, ib = ia[halves[side]], ib[halves[side]]
-    passes = {k: int(_meet(a, ia, other, ib, k).sum()) for k in range(4) if k != k1}
-    return k1, side, sorted(passes, key=lambda k: (passes[k], counts[k]))
+    return k1, side, sorted((k for k in range(4) if k != k1), key=counts.__getitem__)
 
 
 def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -574,7 +565,8 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
             keep = np.flatnonzero(a.star[ia] != other.star[ib])
             ia, ib = ia[keep], ib[keep]
             for k in filters:
-                keep = np.flatnonzero(_meet(a, ia, other, ib, k))
+                (lo_a, hi_a), (lo_b, hi_b) = a.spans[k], other.spans[k]
+                keep = np.flatnonzero((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia]))
                 ia, ib = ia[keep], ib[keep]
                 if not len(keep):
                     break

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import threading
+import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -337,6 +338,19 @@ class TestAreaBoundAtScale:
         assert t.span_dtype is np.int64
         assert _span_dtypes(t) == {np.dtype(np.int64)}
 
+    def test_l32_witness_validates_in_bounded_memory(self):
+        # Seven edges on n = 2^20 vertices: the vertex-piercing scan's n-long
+        # columns set the peak, and each is held once (13 int64 words per
+        # vertex; 24 while the point group copied what it was handed).
+        d = _witness(32)
+        tracemalloc.start()
+        try:
+            validate(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * d.n
+
     def test_area_ratio_falls_towards_16(self):
         # At l = 32 (n = 2^20) the products run on object ints, and the
         # spans with their sorts and binary searches on int64.
@@ -508,6 +522,43 @@ class TestFilteredPairStream:
                     meet = (lo_a[:, None] <= hi_b[None, :]) & (lo_b[None, :] <= hi_a[:, None])
                     want = np.triu(meet, 1).sum() if b is None else meet.sum()
                     assert validator._overlap_count(a, b, k) == want
+
+    def test_groups_hold_the_columns_they_are_given(self, k16, monkeypatch):
+        # A group only sorts: the table's sliced family columns and the
+        # piercing scan's point columns are stored as they are handed in.
+        given = []
+
+        class Recording(validator._Group):
+            __slots__ = ()
+
+            def __init__(self, idx, spans, star):
+                given.append((idx, spans, star))
+                super().__init__(idx, spans, star)
+
+        monkeypatch.setattr(validator, "_Group", Recording)
+        t = _Table(k16)
+        scanned = []
+        monkeypatch.setattr(validator, "_span_pairs", lambda a, b: scanned.append(b) or iter(()))
+        validator._scan_vertex_piercings(t, k16, [])
+        assert len(given) == 5 and all(b is scanned[0] for b in scanned)
+        for group, (idx, spans, star) in zip([*t.groups, scanned[0]], given):
+            assert group.idx is idx and group.star is star
+            for (lo, hi), (group_lo, group_hi) in zip(spans, group.spans):
+                assert np.shares_memory(group_lo, lo) and np.shares_memory(group_hi, hi)
+        # A point's span is one column, sorted once, and its ids are its stars.
+        points = scanned[0]
+        assert points.star is points.idx
+        for (lo, hi), (_, lo_sorted, hi_sorted) in zip(points.spans, points.ends):
+            assert hi is lo and hi_sorted is lo_sorted
+
+    def test_plan_filters_in_ascending_overlap_count(self, k81):
+        t = _Table(k81)
+        for fa, fb in validator._FAMILY_PAIRS:
+            a, b = t.groups[fa], None if fa == fb else t.groups[fb]
+            counts = [validator._overlap_count(a, b, k) for k in range(4)]
+            k1, _, filters = validator._plan(a, b, counts)
+            assert sorted([k1, *filters]) == [0, 1, 2, 3]
+            assert [counts[k] for k in filters] == sorted(counts[k] for k in filters)
 
     def test_modes_agree_in_chunks_of_7(self, k16, monkeypatch):
         # Brute and filtered agree on each of these at the default chunk;
