@@ -264,41 +264,30 @@ def _json_strings(values: tuple[str, ...]) -> str:
     return ",".join(f'"{v}"' for v in values)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class CrossingReport:
-    """Certification result: crossing counts, violations, extent, and the
-    crossings themselves on request.
+    """Certification result, frozen once ``validate`` returns it: crossing
+    counts, violations, extent, and the crossings themselves on request.
 
     ``pair_counts`` maps each class pair "SaxSb" (a <= b) to its number of
     crossings, and ``crossing_count`` is their sum. The crossings are not
     held: ``crossings`` is a callable that enumerates them as unsorted
     NumPy columns (segment_a, segment_b, x_num, y_num, den, perp), where
     segment s is class s % 7 + 1 of edge s // 7, integer columns are int64
-    or object arrays of Python ints, and den > 0. ``listing`` and
-    ``json_chunks`` call it each time and put the result in canonical
-    order ((edge_a, edge_b, class_a, class_b); that key is unique per
-    segment pair), so identical drawings always serialize to identical
-    bytes regardless of how the report was computed, and nothing of the
-    listing is kept. Both refuse, before enumerating anything, a report of
-    more than ``LISTING_LIMIT`` crossings.
+    or object arrays of Python ints, and den > 0. ``columns`` calls it each
+    time and puts the result in canonical order ((edge_a, edge_b, class_a,
+    class_b); that key is unique per segment pair); ``listing``,
+    ``json_chunks`` and the SVG's crossing markers all read ``columns``, so
+    identical drawings always serialize to identical bytes regardless of
+    how the report was computed, and nothing of the listing is kept.
     """
 
-    __slots__ = ("n", "m", "violations", "bbox", "pair_counts", "_crossings")
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        violations: tuple[Defect, ...],
-        bbox: tuple[int, int, int, int],
-        pair_counts: dict[str, int],
-        crossings: Callable[[], tuple[np.ndarray, ...]],
-    ):
-        self.n = n
-        self.m = m
-        self.violations = violations
-        self.bbox = bbox
-        self.pair_counts = pair_counts
-        self._crossings = crossings
+    n: int
+    m: int
+    violations: tuple[Defect, ...]
+    bbox: tuple[int, int, int, int]
+    pair_counts: dict[str, int]
+    crossings: Callable[[], tuple[np.ndarray, ...]]
 
     @property
     def crossing_count(self) -> int:
@@ -308,15 +297,17 @@ class CrossingReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The crossings as eight NumPy columns in canonical order. Raises
-        ValueError above ``LISTING_LIMIT`` crossings, and RuntimeError if the
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The crossings as eight NumPy columns in canonical order, (edge_a,
+        edge_b, class_a, class_b, x_num, y_num, den, perp), with x and y not
+        reduced to lowest terms. Raises ValueError, before enumerating
+        anything, above ``LISTING_LIMIT`` crossings, and RuntimeError if the
         enumeration does not list exactly the counted crossings."""
         if self.crossing_count > LISTING_LIMIT:
             raise ValueError(
                 f"{self.crossing_count} crossings exceed the listing limit {LISTING_LIMIT}"
             )
-        cols = self._crossings()
+        cols = self.crossings()
         if len(cols[0]) != self.crossing_count:
             raise RuntimeError(
                 f"listed {len(cols[0])} crossings, counted {self.crossing_count}"
@@ -335,7 +326,7 @@ class CrossingReport:
         (x_num / den, y_num / den), den > 0, in lowest terms: the three
         share no common factor, however the report was computed.
         """
-        *keys, x, y, den, perp = self._columns()
+        *keys, x, y, den, perp = self.columns()
         g = np.gcd(np.gcd(x, y), den)
         return tuple(c.tolist() for c in (*keys, x // g, y // g, den // g, perp))
 
@@ -356,7 +347,7 @@ class CrossingReport:
         """
         xmin, xmax, ymin, ymax = self.bbox
         pairs = ",".join(f'"{k}":{self.pair_counts[k]}' for k in sorted(self.pair_counts))
-        ea, eb, ca, cb, x, y, den, perp = self._columns()
+        ea, eb, ca, cb, x, y, den, perp = self.columns()
         # Keys in sorted order: class_a, class_b, edge_a, edge_b,
         # perpendicular, x, y.
         crossings = json_rows(

@@ -154,7 +154,7 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
     if options.crossing_report is not None:
         # x / q is float(Fraction(x, q)): true division of ints rounds once,
         # so the sorted columns need not be in lowest terms.
-        xn, yn, q = (c.tolist() for c in options.crossing_report._columns()[4:7])
+        xn, yn, q = (c.tolist() for c in options.crossing_report.columns()[4:7])
         cx, cy = place(*(np.fromiter(map(truediv, v, q), float, len(q)) for v in (xn, yn)))
         markers = (b'<circle cx="', (_hundredths, cx), b'" cy="', (_hundredths, cy))
         attrs = 'class="crossings" fill="none" stroke="#d01c8b" stroke-width="0.8"'

@@ -69,7 +69,7 @@ where it enters a product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
 from itertools import compress
@@ -736,14 +736,16 @@ def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:
 _NO_CROSSINGS = (*(np.zeros(0, dtype=np.int64),) * 5, np.zeros(0, dtype=bool))
 
 
-def _crossing_columns(t: _Table | None, found: list) -> tuple:
+def _crossing_columns(d: Drawing | None, found: list) -> tuple:
     """Every crossing, unsorted, as columns (segment_a, segment_b, x_num,
-    y_num, den, perp): the chunks in ``found`` and, with the table ``t``,
-    the clean POS x NEG crossings, enumerated afresh and located in (p, q).
-    Integer columns are int64, or object where a value exceeds int64.
+    y_num, den, perp): the chunks in ``found`` and, given the drawing ``d``,
+    the clean POS x NEG crossings, enumerated afresh from a table built for
+    this listing alone and located in (p, q). Integer columns are int64,
+    or object where a value exceeds int64.
     """
     chunks = [_NO_CROSSINGS, *found]
-    if t is not None:
+    if d is not None:
+        t = _Table(d)
         l3 = t.l3
         for i, j, p, q, clean, _ in _pos_neg_pairs(t):
             keep = np.nonzero(clean)[0]
@@ -779,7 +781,8 @@ def validate(
     The report is empty of violations iff the drawing is a right-angle
     crossing drawing with the expected crossing structure. Defects are data,
     not errors. The crossings themselves are listed only when the report is
-    asked for them.
+    asked for them; the report refers to ``d`` and keeps nothing of the
+    certifier's table.
     """
     t = _Table(d)
     found: list = []
@@ -791,7 +794,7 @@ def validate(
         _run_brute(t, found, defects)
         counted, listed = np.zeros((8, 8), dtype=np.int64), None
     else:
-        counted, listed = _run_filtered(t, found, defects), t
+        counted, listed = _run_filtered(t, found, defects), d
     defects.sort(key=Defect.sort_key)
     return CrossingReport(
         n=d.n,
@@ -819,18 +822,8 @@ class StatsReport:
     violation_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "bends_per_edge": self.bends_per_edge,
-            "width": str(self.width),
-            "height": str(self.height),
-            "area": str(self.area),
-            "area_ratio": self.area_ratio,
-            "crossing_count": self.crossing_count,
-            "pair_counts": {k: self.pair_counts[k] for k in sorted(self.pair_counts)},
-            "violation_count": self.violation_count,
-        }
+        extent = {k: str(getattr(self, k)) for k in ("width", "height", "area")}
+        return {**asdict(self), **extent}
 
     def format_text(self) -> str:
         lines = [

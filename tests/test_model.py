@@ -128,11 +128,11 @@ class TestReportWriterOracle:
         assert b'"perpendicular":false' in reports["bent"].to_json_bytes()
         corruptions = test_validator.TestMagnitudeRegimes.CORRUPTIONS
         assert all(not reports[name].ok for name in corruptions)
-        assert reports["k16-moved-2^70"]._columns()[4].dtype == object
-        assert reports["k16"]._columns()[4].dtype == np.int64
+        assert reports["k16-moved-2^70"].columns()[4].dtype == object
+        assert reports["k16"].columns()[4].dtype == np.int64
 
 
-@pytest.mark.parametrize("write", ["listing", "to_json_bytes", "json_chunks"])
+@pytest.mark.parametrize("write", ["columns", "listing", "to_json_bytes", "json_chunks"])
 def test_listing_refused_above_limit_before_enumerating(write):
     def enumerate_crossings():
         raise AssertionError("crossings enumerated")

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import random
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -202,6 +204,44 @@ class TestValidate:
         assert hashlib.sha256(report.to_json_bytes()).hexdigest() == (
             "ebcff0f31b5b344a59e3319c7e61c5d05294aece16df93541e23970432fab449"
         )
+
+    def test_certified_report_cannot_be_edited(self, k16):
+        b = _bend(k16, 3, 1)
+        bad = _replace_bend(k16, 3, 1, (b[0] + 1, b[1]))
+        report = validate(bad, FILTERED)
+        for name in ("n", "m", "violations", "bbox", "pair_counts", "crossings"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, name, () if name == "violations" else None)
+        assert not report.ok
+        assert stats(bad, report).violation_count == 85
+
+    def test_report_keeps_nothing_of_the_certifier(self, k81):
+        # The report refers to the drawing, which the caller holds, and
+        # builds the segment table afresh only to list.
+        tracemalloc.start()
+        try:
+            report = validate(k81)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert held <= 1 << 20
+
+    @pytest.mark.parametrize("sign, size", [((-1, 1), 828_788), ((1, -1), 815_317)])
+    def test_mirror_images_certify_the_same(self, k16, sign, size):
+        # A mirror turns POS and NEG into VAR directions, so the crossings
+        # are found by the VAR x VAR sweep and listed from its chunks.
+        s = np.array(sign)
+        d = Drawing(k16.vertices * s, k16.endpoints, k16.bends * s)
+        assert np.bincount(_Table(d).family + 1).tolist() == [0, 12, 0, 120, 708]
+        filtered, brute = validate(d, FILTERED), validate(d, BRUTE)
+        data = filtered.to_json_bytes()
+        assert data == brute.to_json_bytes()
+        assert len(data) == size
+        assert filtered.crossing_count == K16_CROSSINGS
+        assert filtered.pair_counts == K16_PAIR_COUNTS
+        assert filtered.violations == ()
 
 
 class TestDefectKinds:
