@@ -14,18 +14,27 @@ it is exactly the writer's text for the arrays read from it, plus at most
 one trailing newline; that one comparison is the whole schema check, so key
 sets, id order, the fields derived from ``n`` and the ids and every
 integer's spelling hold by construction.
+
+So the reader needs no JSON parser. It views the text as bytes, a slice of
+about 1 MiB at a time, finds each vertex "x"/"y" key, edge "source"/"target"
+key and bend '[' by a byte that is rare in a document, and turns the digits
+of the values behind them into int64 with vector arithmetic, the inverse of
+the writer's ``digit_matrix`` (compare Langdale and Lemire, "Parsing
+gigabytes of JSON per second", VLDB J. 2019, on finding structure in JSON
+bytes). Whatever it reads from a text that is not canonical, the written
+text differs from it by the first bad byte, and the comparison names that
+field.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 
 import numpy as np
 
 from .layout import GraphInput, first_bend_index, params_from_n, vertex_slot
-from .model import Drawing, digit_matrix, int_column, json_rows
+from .model import Drawing, digit_matrix, int_column, json_rows, literal_rows
 
 SCHEMA = "rac-drawing/1"
 
@@ -166,15 +175,28 @@ def _read_int(value, context: str) -> int:
         raise IntegerTooLongError(context, len(value.lstrip("-"))) from None
 
 
-def dumps_drawing(d: Drawing) -> str:
-    """Byte-stable JSON text for a drawing (no trailing newline).
+def _block(*seps: bytes):
+    """A ``json_rows`` spell for a block of k columns: every value of the
+    rows handed to it is spelled by one ``digit_matrix`` call, and column c
+    is followed by ``seps[c]``."""
 
-    Written as ``json.dumps`` with sorted keys and separators ``(",", ":")``
-    would write the document: every key and value is a fixed ASCII name or
-    a decimal integer string, so nothing needs escaping. The vertex and
-    edge rows are spelled by ``json_rows`` straight from the arrays, a
-    chunk of rows at a time.
-    """
+    def spell(block: np.ndarray) -> list[np.ndarray]:
+        rows, k = block.shape
+        digits = digit_matrix(block.reshape(-1)).reshape(rows, k, -1)
+        return [m for c, sep in enumerate(seps) for m in (digits[:, c], literal_rows(sep, rows))]
+
+    return spell
+
+
+_POINTS = _block(b'","y":"', b'"}')
+# Bends a..f as ["x","y"] pairs, then k, source and target.
+_BENDS = _block(*(b'","', b'"],["') * 5, b'","', b'"]],"k":"')
+_ENDS = _block(b'","source":"', b'","target":"', b'"}')
+
+
+def _document(d: Drawing) -> list[bytes]:
+    """The chunks of ``dumps_drawing(d)``'s bytes, spelled by ``json_rows``
+    straight from the arrays."""
     n, m, l = d.n, d.m, d.l
     params = ",".join(f'"{key}":"{v}"' for key, v in sorted(params_from_n(n).items()))
     ids = np.arange(n, dtype=np.int64)
@@ -185,61 +207,169 @@ def dumps_drawing(d: Drawing) -> str:
             b'{"id":"', (digit_matrix, ids),
             b'","level":"', (digit_matrix, level),
             b'","pos":"', (digit_matrix, pos),
-            b'","x":"', (digit_matrix, d.vertices[:, 0]),
-            b'","y":"', (digit_matrix, d.vertices[:, 1]),
-            b'"}',
+            b'","x":"', (_POINTS, d.vertices),
         ),
     )
-    # Bends a..f as ["x","y"] pairs, then k, source and target.
-    bends = d.bends.reshape(-1, 12)
     source, target = d.endpoints[:, 0], d.endpoints[:, 1]
-    pieces = [b'{"bends":[["']
-    for c in range(12):
-        pieces += (digit_matrix, bends[:, c]), (b'","' if c % 2 == 0 else b'"],["')
-    pieces[-1] = b'"]],"k":"'
-    pieces += (
-        (digit_matrix, first_bend_index(l, target)),
-        b'","source":"', (digit_matrix, source),
-        b'","target":"', (digit_matrix, target),
-        b'"}',
-    )
-    edges = json_rows(m, tuple(pieces))
+    ends = np.stack((first_bend_index(l, target), source, target), axis=1)
+    edges = json_rows(m, (b'{"bends":[["', (_BENDS, d.bends.reshape(-1, 12)), (_ENDS, ends)))
     middle = (
         f'],"l":"{l}","m":"{m}","n":"{n}","params":{{{params}}},'
         f'"schema":"{SCHEMA}","vertices":['
     ).encode("ascii")
-    return b"".join((b'{"edges":[', *edges, middle, *vertices, b"]}")).decode("ascii")
+    return [b'{"edges":[', *edges, middle, *vertices, b"]}"]
 
 
-# Vertex x/y, edge source/target and bend x/y where the writer puts them.
-# A value may be any JSON scalar without a comma, so that a misspelt one is
-# read in its place; ``sep`` is the text between the two, quotes dropped.
-# A vertex's x may hold commas too (an array, "1,5"), so that the vertex is
-# still counted and the comparison names ``vertex.x``.
-_COLUMNS = (
-    (re.compile(r'"x":([^}]*?,"y":[^,}]*)'), ",y:"),
-    (re.compile(r'"source":([^,]*,"target":[^,}]*)'), ",target:"),
-    (re.compile(r"\[([^],[]*,[^],[]*)\]"), ","),
+def dumps_drawing(d: Drawing) -> str:
+    """Byte-stable JSON text for a drawing (no trailing newline).
+
+    Written as ``json.dumps`` with sorted keys and separators ``(",", ":")``
+    would write the document: every key and value is a fixed ASCII name or
+    a decimal integer string, so nothing needs escaping. The vertex and
+    edge rows are spelled by ``json_rows`` straight from the arrays, a
+    chunk of rows at a time. The points, the twelve bend columns and each
+    edge's k, source and target are each spelled by one ``digit_matrix``
+    call per chunk.
+    """
+    return b"".join(_document(d)).decode("ascii")
+
+
+# The document is read in slices of about this many bytes, each cut just
+# after a '}': the reader's counterpart to ``model._ROW_CHUNK``. It bounds
+# the reader's temporaries and keeps each slice in cache.
+_SLICE = 1 << 20
+# Each slice is copied with this many bytes of what follows it, so that no
+# value's window runs past the copy.
+_TAIL = 32
+# Digits read with int64 arithmetic; a longer value is read by ``int``.
+_DIGITS = 18
+_QUOTE, _MINUS, _ZERO = ord('"'), ord("-"), ord("0")
+_NONE = np.iinfo(np.int64).max
+
+
+def _keys(buf: np.ndarray, size: int, key: bytes, rare: int) -> np.ndarray:
+    """The position just past each ``key`` (of 2, 4 or 8 bytes) that starts
+    in ``buf[:size]``, found from the positions of ``key``'s byte
+    ``rare``."""
+    word = np.dtype(f"<u{len(key)}")
+    # Word i is read from the bytes buf[i : i + len(key)].
+    words = np.ndarray((len(buf) - len(key) + 1,), word, buf, 0, (1,))
+    at = np.flatnonzero(buf[:size] == rare) - key.index(rare)
+    at = at[at >= 0]
+    return at[words[at] == np.frombuffer(key, dtype=word)[0]] + len(key)
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key of ``first`` whose next key among both is in ``second``,
+    and that key: a vertex's "x" and "y", or an edge's "source" and
+    "target", however the values between them are spelled."""
+    after = np.append(second, _NONE)[np.searchsorted(second, first)]
+    keep = after < np.append(first[1:], _NONE)
+    return first[keep], after[keep]
+
+
+def _values(buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, state, end) of the values whose opening quotes should be at
+    ``at``.
+
+    State 1 is a quoted run of 1 to ``_DIGITS`` ASCII digits behind an
+    optional "-", read with int64 arithmetic, one digit place at a time
+    for all values; state 2 is a longer run, read by ``int`` into an object
+    column; state 0 is anything else. A value that does not read is -1.
+    ``end`` is where each run of digits stops.
+    """
+    # Item i holds the bytes buf[i : i + _DIGITS + 2], so that the digits
+    # of a value are gathered as one item.
+    windows = np.ndarray((len(buf) - _DIGITS - 1,), f"V{_DIGITS + 2}", buf, 0, (1,))
+    neg = buf[at + 1] == _MINUS
+    first = at + 1 + neg
+    window = windows[first].view(np.uint8).reshape(len(at), _DIGITS + 2) - np.uint8(_ZERO)
+    digit = window < 10
+    digit[:, -1] = False
+    width = digit.argmin(axis=1)
+    end = first + width
+    opening = buf[at] == _QUOTE
+    state = np.where(width > _DIGITS, 2 * opening, opening & (buf[end] == _QUOTE) & (width > 0))
+    # Horner's rule over the digit places, each value stopping at its run's
+    # end; at most _DIGITS places keep it below 10**_DIGITS.
+    value = np.zeros(len(at), dtype=np.int64)
+    for place in range(min(int(width.max(initial=0)), _DIGITS)):
+        value = np.where(width > place, value * 10 + window[:, place], value)
+    value = np.where(state == 1, np.where(neg, -value, value), -1)
+    longs = np.flatnonzero(state == 2).tolist()
+    if longs:
+        text = buf.tobytes()
+        value = value.astype(object)
+        for i in longs:
+            value[i], end[i] = _long(text, int(at[i]))
+    return value, state, end
+
+
+def _long(text: bytes, at: int) -> tuple[int, int]:
+    """The integer ``int`` reads from the quoted value at ``text[at]``, or
+    -1 if it reads none, and where the value's closing quote is."""
+    end = text.find(b'"', at + 1)
+    try:
+        return int(text[at + 1 : end]), end
+    except ValueError:
+        return -1, end
+
+
+def _column(parts: list[np.ndarray]) -> np.ndarray:
+    """One column from its parts, with the dtype ``int_column`` gives it."""
+    col = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    return int_column(col.tolist()) if col.dtype == object else col
+
+
+def _read(raw: bytes) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The vertex x and y, edge source and target, and bend x and y
+    columns of ``raw``, and the state (see ``_values``) and the position of
+    the opening quote of each edge's source and target values.
+
+    A vertex is an "x" key followed by a "y" key, and an edge a "source"
+    key followed by a "target" key, whatever their values; a bend is a
+    '["' anywhere. A value of more than ``_DIGITS`` digits makes its part of
+    a column object, read by ``int``.
+    """
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    columns = [[] for _ in range(6)]
+    states, starts = [], []
+    lo = 0
+    while lo < len(raw):
+        hi = raw.find(b"}", lo + _SLICE) + 1 or len(raw)
+        buf = np.zeros(hi - lo + _TAIL, dtype=np.uint8)
+        piece = whole[lo : hi + _TAIL]
+        buf[: len(piece)] = piece
+        size = hi - lo
+        # The opening quote of a value follows '"x":', '"y":', '"source":',
+        # '"target":' (whose ':' is left to the comparison) or '['.
+        x, y = _pairs(_keys(buf, size, b'"x":', ord("x")), _keys(buf, size, b'"y":', ord("y")))
+        source, target = _pairs(
+            _keys(buf, size, b'"source"', ord("u")) + 1, _keys(buf, size, b'"target"', ord("g")) + 1
+        )
+        keyed = (x, y, source, target, _keys(buf, size, b'["', ord("[")) - 1)
+        value, state, end = _values(buf, np.concatenate(keyed))
+        # A bend's y value follows its x value's closing quote and a comma.
+        bend_y = np.minimum(end[len(end) - len(keyed[-1]) :] + 2, size)
+        value_y = _values(buf, bend_y)[0]
+        bounds = np.cumsum([len(k) for k in keyed])
+        for col, part in zip(columns, np.split(np.concatenate((value, value_y)), bounds)):
+            col.append(part)
+        states.append(np.stack(np.split(state[bounds[1] : bounds[3]], 2), axis=1))
+        starts.append(np.stack((source, target), axis=1) + lo)
+        lo = hi
+    none = [np.zeros((0, 2), dtype=np.int64)]
+    states, starts = np.concatenate(states or none), np.concatenate(starts or none)
+    return [_column(col) for col in columns], states, starts
+
+
+_NOT_CANONICAL = (
+    "not the canonical document; write it as dumps_drawing does, "
+    'with sorted keys and separators "," and ":"'
 )
 _PREFIX = dict.fromkeys(params_from_n(1), "params.")
 _PREFIX.update(dict.fromkeys(("id", "level", "pos", "x", "y"), "vertex."))
 _PREFIX.update(dict.fromkeys(("bends", "k", "source", "target"), "edge."))
-
-
-def _int(word: str) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        return -1
-
-
-def _ints(words: list[str]) -> np.ndarray:
-    """``words`` as an integer column; a word ``int`` cannot read is -1,
-    which no canonical document spells that way."""
-    try:
-        return int_column(list(map(int, words)))
-    except ValueError:
-        return int_column(list(map(_int, words)))
 
 
 def _name(tokens: list[str], j: int) -> str:
@@ -254,10 +384,23 @@ def _name(tokens: list[str], j: int) -> str:
     return prefix + key
 
 
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``, found by
+    halving with ``startswith``."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _reject(text: str, canonical: str) -> None:
     """Raise the typed error for the first byte where ``text`` departs from
     ``canonical``, the writer's text for the arrays read from ``text``."""
-    i = len(os.path.commonprefix((text, canonical)))
+    i = _common_prefix(text, canonical)
     # Byte i lies in string t of canonical.split('"') if t is odd, and
     # after string t - 1 if t is even; an opening quote starts its string.
     t = canonical.count('"', 0, i)
@@ -283,10 +426,7 @@ def _reject(text: str, canonical: str) -> None:
                 raise DocumentError(f"{name} is {value!r}, but {tokens[t]} entries were read")
     if name.startswith("bend."):
         raise DocumentError(f"{name} at byte {i}: each edge needs exactly 6 bends of 2 integers")
-    raise DocumentError(
-        f"{name} at byte {i}: not the canonical document; write it as "
-        'dumps_drawing does, with sorted keys and separators "," and ":"'
-    )
+    raise DocumentError(f"{name} at byte {i}: {_NOT_CANONICAL}")
 
 
 def loads_drawing(text: str) -> Drawing:
@@ -294,31 +434,53 @@ def loads_drawing(text: str) -> Drawing:
     edge endpoints and bends, read from where ``dumps_drawing`` puts them,
     if ``dumps_drawing`` writes ``text`` for them (one trailing newline
     aside). Otherwise a ``DocumentError`` names the first field where
-    ``text`` departs from the writer's text."""
-    body = text[:-1] if text.endswith("\n") else text
-    points, ends, bends = (
-        sep.join(found).replace('"', "").split(sep) if (found := pattern.findall(body)) else []
-        for pattern, sep in _COLUMNS
-    )
-    # With no vertex read, compare with a one-vertex drawing. A point value
-    # past the last whole pair and bends past the edges read are dropped,
-    # and missing bends read as -1.
-    n, m = max(len(points) // 2, 1), len(ends) // 2
-    points = (points or ["0", "0"])[: 2 * n]
-    bends = (bends + ["-1"] * (12 * m - len(bends)))[: 12 * m]
-    endpoints = _ints(ends).reshape(-1, 2)
+    ``text`` departs from the writer's text.
+
+    The columns are read from the text's bytes by ``_read``; a value that
+    is not a quoted integer reads as -1. Edge endpoints are checked first,
+    since the drawing needs ids of the vertices read, and an endpoint that
+    is not one raises here. The written text is compared chunk by chunk,
+    and only a text that differs is written whole, for ``_reject`` to name
+    the field.
+    """
+    size = len(text) - text.endswith("\n")
+    # One byte per character: a non-ASCII one reads as '?', which no
+    # canonical document holds.
+    columns, states, starts = _read(text.encode("ascii", "replace"))
+    x, y, source, target, bend_x, bend_y = columns
+    # With no vertex read, compare with a one-vertex drawing. Bends past the
+    # edges read are dropped, and missing bends read as -1.
+    n, m = max(len(x), 1), len(source)
+    points = np.stack((x, y), axis=1) if len(x) else np.zeros((1, 2), dtype=np.int64)
+    bends = np.stack((bend_x, bend_y), axis=1)[: 6 * m]
+    bends = np.concatenate((bends, np.full((6 * m - len(bends), 2), -1)))
+    read = states == 1
+    endpoints = np.where(read, np.stack((source, target), axis=1), -1).astype(np.int64)
     bad = (endpoints < 0) | (endpoints >= n)
     bad[:, 1] |= endpoints[:, 0] == endpoints[:, 1]
     if bad.any():
         e, side = np.argwhere(bad)[0].tolist()
         context = ("edge.source", "edge.target")[side]
-        _read_int(ends[2 * e + side], context)
+        if not read[e, side]:
+            at = int(starts[e, side])
+            try:
+                value = json.JSONDecoder().raw_decode(text, at)[0]
+            except ValueError:
+                message = f"{context} of edge {e} at byte {at}: {_NOT_CANONICAL}"
+                raise DocumentError(message) from None
+            _read_int(value, context)
         raise DocumentError(f"{context} of edge {e}: need two distinct vertex ids below {n}")
-    d = Drawing(_ints(points).reshape(-1, 2), endpoints, _ints(bends).reshape(-1, 6, 2))
-    canonical = dumps_drawing(d)
-    if canonical != body:
-        _reject(body, canonical)
-    return d
+    d = Drawing(points, endpoints, bends.reshape(-1, 6, 2))
+    chunks = _document(d)
+    written = 0
+    for chunk in chunks:
+        if not text.startswith(chunk.decode("ascii"), written):
+            break
+        written += len(chunk)
+    else:
+        if written == size:
+            return d
+    _reject(text[:size], b"".join(chunks).decode("ascii"))
 
 
 def write_drawing(d: Drawing, path: str) -> None:

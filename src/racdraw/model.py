@@ -211,9 +211,10 @@ def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytes]:
 
     Each piece is a bytes literal, the same in every row, or a tuple
     ``(spell, *columns)``: ``spell`` maps the columns' rows lo:hi to a uint8
-    matrix as ``digit_matrix`` does. Each chunk of ``_ROW_CHUNK`` rows is
-    one matrix of the pieces side by side, behind columns of ``sep``, and
-    its bytes are the matrix's non-NUL bytes; no row is a Python string.
+    matrix as ``digit_matrix`` does, or to a list of such matrices side by
+    side. Each chunk of ``_ROW_CHUNK`` rows is one matrix of the pieces side
+    by side, behind columns of ``sep``, and its bytes are the matrix's
+    non-NUL bytes; no row is a Python string.
     """
     chunks = []
     for lo in range(0, n, _ROW_CHUNK):
@@ -224,15 +225,26 @@ def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytes]:
         parts = [head]
         for piece in pieces:
             if isinstance(piece, bytes):
-                literal = np.frombuffer(piece, dtype=np.uint8)
-                parts.append(np.broadcast_to(literal, (hi - lo, len(piece))))
+                parts.append(literal_rows(piece, hi - lo))
             else:
                 spell, *cols = piece
-                parts.append(spell(*(c[lo:hi] for c in cols)))
-        # The matrix is freed before its NUL bytes are dropped.
-        raw = np.concatenate(parts, axis=1).tobytes()
+                spelled = spell(*(c[lo:hi] for c in cols))
+                parts += spelled if isinstance(spelled, list) else (spelled,)
+        # The pieces are mostly transposed digit matrices, and their bare
+        # concatenation would come out column-major, whose bytes ``tobytes``
+        # gathers one at a time; the row-major matrix takes one copy. It is
+        # freed before its NUL bytes are dropped.
+        matrix = np.empty((hi - lo, sum(p.shape[1] for p in parts)), dtype=np.uint8)
+        raw = np.concatenate(parts, axis=1, out=matrix).tobytes()
+        del matrix
         chunks.append(raw.translate(None, b"\0"))
     return chunks
+
+
+def literal_rows(literal: bytes, rows: int) -> np.ndarray:
+    """A read-only uint8 matrix of ``rows`` rows, each the bytes of
+    ``literal``, that stores them once."""
+    return np.ndarray((rows, len(literal)), np.uint8, literal, 0, (0, 1))
 
 
 def _ratio_strings(num: np.ndarray, den: np.ndarray) -> list[str]:
