@@ -15,7 +15,7 @@ from functools import partial
 from statistics import median
 from time import perf_counter
 
-from .io import dumps_drawing, loads_drawing, parse_edge_list
+from .io import _document, loads_drawing, parse_edge_list
 from .layout import GraphInput, draw_complete, draw_graph
 from .model import ceil_fourth_root
 from .svg import SvgOptions, render_svg
@@ -77,7 +77,7 @@ def cmd_draw(args) -> int:
             "pass --allow-large to proceed"
         )
     drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)
-    _write_bytes(args.out, dumps_drawing(drawing).encode("ascii"), b"\n")
+    _write_bytes(args.out, *_document(drawing), b"\n")
     return 0
 
 

@@ -194,7 +194,7 @@ _BENDS = _block(*(b'","', b'"],["') * 5, b'","', b'"]],"k":"')
 _ENDS = _block(b'","source":"', b'","target":"', b'"}')
 
 
-def _document(d: Drawing) -> list[bytes]:
+def _document(d: Drawing) -> list[bytes | bytearray]:
     """The chunks of ``dumps_drawing(d)``'s bytes, spelled by ``json_rows``
     straight from the arrays."""
     n, m, l = d.n, d.m, d.l

@@ -12,9 +12,11 @@ index ``k``, the 8-point polylines) is derived from them on demand.
 
 Rows of output (a report's crossings here, a document's vertices and edges
 in ``io``, an SVG's elements in ``svg``) are written by one row writer,
-``json_rows``: each column is spelled as a uint8 digit matrix, fixed text
-is broadcast between the columns, and the non-NUL bytes of each chunk's
-matrix are its rows. No row is ever a Python string.
+``json_rows``: each column is spelled as a uint8 digit matrix, dividing in
+the narrowest unsigned lane that holds what is left to spell, fixed text
+is broadcast between the columns, and each chunk's matrix is written into
+a ``bytearray`` whose non-NUL bytes are its rows. No row is ever a Python
+string.
 
 All types are immutable values and safe to share across threads.
 """
@@ -161,8 +163,9 @@ class Defect:
 
 
 # Rows spelled per chunk by ``json_rows``: bounds the byte matrices held at
-# once, so a long listing costs no more than its output.
-_ROW_CHUNK = 1 << 16
+# once, so a long listing costs no more than its output: a chunk of report
+# rows (about 140 bytes each) spells a few MB of matrices.
+_ROW_CHUNK = 1 << 14
 _NUL, _MINUS, _SLASH, _ZERO = 0, ord("-"), ord("/"), ord("0")
 
 
@@ -171,43 +174,61 @@ def digit_matrix(col: np.ndarray) -> np.ndarray:
     ``str(col[k])``.
 
     An int64 column is spelled right-aligned, by vector division of its
-    magnitudes, behind a column of "-" or NUL; an object column (Python
-    ints, some above int64) by ``str`` per value, left-aligned.
+    magnitudes, behind a column of "-" or NUL; each digit place divides in
+    the narrowest unsigned dtype that holds the magnitudes still left to
+    spell. An object column (Python ints, some above int64) is spelled by
+    ``str`` per value, left-aligned.
     """
     if col.dtype == object:
         text = col.astype("S")
         return text.view(np.uint8).reshape(len(col), text.itemsize)
     # abs wraps -2**63 to itself, which reads as 2**63 in uint64.
     mag = np.abs(col).view(np.uint64)
-    width = len(str(int(mag.max(initial=0))))
+    top = int(mag.max(initial=0))
+    width = len(str(top))
     # Built one digit place per row, and handed out transposed.
     out = np.empty((width + 1, len(col)), dtype=np.uint8)
     out[0] = np.where(col < 0, _MINUS, _NUL)
     for k in range(width, 0, -1):
+        mag = mag.astype(np.min_scalar_type(top), copy=False)
         rest = mag // 10
         digit = (mag - rest * 10).astype(np.uint8) + _ZERO
         if k < width:
             # A leading zero: nothing was left to divide.
             digit *= mag != 0
         out[k] = digit
-        mag = rest
+        mag, top = rest, top // 10
     return out.T
 
 
-def ratio_matrix(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``digit_matrix`` of ``str(Fraction(num[k], den[k]))``, den > 0: "a"
-    or "a/b" in lowest terms, over int64, object or mixed columns."""
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
+def ratio_matrix(num: np.ndarray, den: np.ndarray) -> list[np.ndarray]:
+    """The matrices of ``str(Fraction(num[k], den[k]))``, den > 0, side by
+    side as ``json_rows`` takes them: "a" or "a/b" in lowest terms, over
+    int64, object or mixed columns."""
+    if num.dtype == den.dtype == np.int64:
+        # gcd(num, den) = gcd(num % den, den), and 0 <= num % den < den, so
+        # it runs in the narrowest unsigned dtype that holds every den.
+        lane = np.min_scalar_type(int(den.max(initial=1)))
+        g = np.gcd((num % den).astype(lane), den.astype(lane))
+    else:
+        g = np.gcd(num, den)
+    red = np.flatnonzero(g != 1)
+    if len(red):
+        # Only the reducible rows are divided. Assigned, not divided in
+        # place: an object quotient does not cast into an int64 column.
+        g = g[red].astype(den.dtype)
+        num, den = num.copy(), den.copy()
+        num[red] = num[red] // g
+        den[red] = den[red] // g
     whole = den == 1
     denominator = digit_matrix(den)
     denominator[whole] = _NUL
     slash = np.where(whole, _NUL, _SLASH).astype(np.uint8)[:, None]
-    return np.concatenate((digit_matrix(num), slash, denominator), axis=1)
+    return [digit_matrix(num), slash, denominator]
 
 
-def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytes]:
-    """Rows 0..n-1 of a JSON array, joined by ``sep``, as byte chunks.
+def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytearray]:
+    """Rows 0..n-1 of a JSON array, joined by ``sep``, as bytes-like chunks.
 
     Each piece is a bytes literal, the same in every row, or a tuple
     ``(spell, *columns)``: ``spell`` maps the columns' rows lo:hi to a uint8
@@ -230,13 +251,12 @@ def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytes]:
                 spell, *cols = piece
                 spelled = spell(*(c[lo:hi] for c in cols))
                 parts += spelled if isinstance(spelled, list) else (spelled,)
-        # The pieces are mostly transposed digit matrices, and their bare
-        # concatenation would come out column-major, whose bytes ``tobytes``
-        # gathers one at a time; the row-major matrix takes one copy. It is
-        # freed before its NUL bytes are dropped.
-        matrix = np.empty((hi - lo, sum(p.shape[1] for p in parts)), dtype=np.uint8)
-        raw = np.concatenate(parts, axis=1, out=matrix).tobytes()
-        del matrix
+        # The pieces are mostly transposed digit matrices; they are
+        # concatenated row-major into a matrix that views a bytearray, whose
+        # NUL bytes are then dropped with no copy between.
+        width = sum(p.shape[1] for p in parts)
+        raw = bytearray((hi - lo) * width)
+        np.concatenate(parts, axis=1, out=np.frombuffer(raw, np.uint8).reshape(hi - lo, width))
         chunks.append(raw.translate(None, b"\0"))
     return chunks
 
@@ -346,9 +366,10 @@ class CrossingReport:
         """The canonical ``rac-report/1`` bytes: ``json_chunks`` joined."""
         return b"".join(self.json_chunks())
 
-    def json_chunks(self) -> list[bytes]:
-        """The canonical ``rac-report/1`` bytes as a list of chunks (head,
-        rows, tail), for a writer that need not hold them joined.
+    def json_chunks(self) -> list[bytes | bytearray]:
+        """The canonical ``rac-report/1`` bytes as a list of bytes-like
+        chunks (head, rows, tail), for a writer that need not hold them
+        joined.
 
         Written as ``json.dumps`` with sorted keys and separators
         ``(",", ":")`` would write the report: every key is a fixed name and

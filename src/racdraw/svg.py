@@ -81,7 +81,7 @@ def _hundredths(col: np.ndarray) -> np.ndarray:
     return np.concatenate((sign, digit_matrix(q // 100), tail), axis=1)
 
 
-def _group(attrs: str, n: int, pieces: tuple) -> list[bytes]:
+def _group(attrs: str, n: int, pieces: tuple) -> list[bytes | bytearray]:
     """A ``<g>`` element of n rows of ``json_rows``, one child element a
     row, closing itself when it has none."""
     head = f"<g {attrs}".encode("ascii")

@@ -25,8 +25,14 @@ def _spelled(matrix) -> list[str]:
 
 
 # The int64 edges of the digit matrix: one digit, a carry into two, the
-# widest magnitudes, and -2**63, whose magnitude exceeds int64.
-INT64_EDGES = [0, 1, -1, 9, -9, 10, -10, 10**18, -(10**18), 2**63 - 1, -(2**63)]
+# widest magnitudes, and -2**63, whose magnitude exceeds int64. Each digit
+# place divides in the narrowest dtype that holds what is left, so the
+# column passes from uint64 through uint32 and uint16 to uint8 while it is
+# spelled; each lane's edges and every power of ten are here too.
+_MAGNITUDES = [255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32]
+_MAGNITUDES += [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+INT64_EDGES = [0, 1, -1, 9, -9, 2**63 - 1, -(2**63)]
+INT64_EDGES += [s * v for v in _MAGNITUDES for s in (1, -1)]
 
 
 def test_digit_matrix_spells_int64_edges():
@@ -35,6 +41,25 @@ def test_digit_matrix_spells_int64_edges():
     for v in INT64_EDGES:
         # Alone, each value sets the matrix width.
         assert _spelled(digit_matrix(np.array([v], dtype=np.int64))) == [str(v)]
+
+
+@pytest.mark.parametrize("den", [2**32 - 1, 2**32])
+def test_ratio_strings_across_the_gcd_lane(den):
+    # Below 2**32 every den fits uint32 and the gcd runs there; at 2**32 it
+    # runs in uint64. The numerators reach both ends of int64.
+    rng = random.Random(den)
+    num = [rng.randint(-(2**63), 2**63 - 1) for _ in range(200)]
+    num += [2**63 - 1, -(2**63 - 1), -(2**63), 0, den, -den, 3 * den, 2**31, 2**32]
+    dens = [rng.choice([den, den // 3, rng.randint(1, den)]) for _ in num]
+    want = [str(Fraction(a, b)) for a, b in zip(num, dens)]
+    assert _ratio_strings(np.array(num, dtype=np.int64), np.array(dens, dtype=np.int64)) == want
+    # Mixed columns: the gcd is an object column, and the reduced rows are
+    # assigned, since an object quotient does not cast into an int64
+    # column in place.
+    assert _ratio_strings(np.array(num, dtype=np.int64), np.array(dens, dtype=object)) == want
+    wide = [v * 2**40 for v in num[:50]] + num[50:]
+    want = [str(Fraction(a, b)) for a, b in zip(wide, dens)]
+    assert _ratio_strings(np.array(wide, dtype=object), np.array(dens, dtype=np.int64)) == want
 
 
 def test_digit_matrix_spells_object_ints():
