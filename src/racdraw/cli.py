@@ -12,13 +12,15 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
+from pathlib import Path
 from statistics import median
 from time import perf_counter
 
 from .io import _document, loads_drawing, parse_edge_list
 from .layout import GraphInput, draw_complete, draw_graph
 from .model import ceil_fourth_root
-from .svg import SvgOptions, render_svg
+from .svg import SvgOptions, _svg
 from .validator import ValidationMode, stats, validate
 
 # Construction with l beyond this, or of a complete graph with more edges
@@ -32,17 +34,16 @@ class CliError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise CliError(str(exc))
 
 
-def _write_bytes(path: str, *chunks: bytes) -> None:
+def _write_bytes(path: str, *parts) -> None:
+    """Write the chunks of each part in turn, each as it is taken."""
+    chunks = chain.from_iterable(parts)
     if path == "-":
         # Text printed before must come out first.
         sys.stdout.flush()
@@ -63,7 +64,7 @@ def cmd_draw(args) -> int:
     if args.n is not None:
         graph = GraphInput(args.n)
     else:
-        graph = parse_edge_list(_read_text(args.input))
+        graph = parse_edge_list(_read_bytes(args.input).decode("ascii"))
     l = ceil_fourth_root(graph.n)
     if l > DEFAULT_L_CAP and not args.allow_large:
         raise CliError(
@@ -77,12 +78,12 @@ def cmd_draw(args) -> int:
             "pass --allow-large to proceed"
         )
     drawing = draw_complete(graph.n) if args.complete else draw_graph(graph)
-    _write_bytes(args.out, *_document(drawing), b"\n")
+    _write_bytes(args.out, _document(drawing), [b"\n"])
     return 0
 
 
 def cmd_validate(args) -> int:
-    drawing = loads_drawing(_read_text(args.file))
+    drawing = loads_drawing(_read_bytes(args.file))
     report = validate(drawing, ValidationMode(args.mode))
     # Built first, so a refused listing prints no verdict and writes no file.
     chunks = report.json_chunks() if args.report else None
@@ -99,12 +100,12 @@ def cmd_validate(args) -> int:
         say(f"  ... and {len(report.violations) - 20} more")
     say(f"certified RAC: {'yes' if report.ok else 'NO'}")
     if chunks is not None:
-        _write_bytes(args.report, *chunks, b"\n")
+        _write_bytes(args.report, chunks, [b"\n"])
     return 0 if report.ok else 1
 
 
 def cmd_stats(args) -> int:
-    drawing = loads_drawing(_read_text(args.file))
+    drawing = loads_drawing(_read_bytes(args.file))
     result = stats(drawing)
     if args.json:
         print(json.dumps(result.to_json_dict(), sort_keys=True))
@@ -114,7 +115,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_svg(args) -> int:
-    drawing = loads_drawing(_read_text(args.file))
+    drawing = loads_drawing(_read_bytes(args.file))
     report = validate(drawing) if args.mark_crossings else None
     options = SvgOptions(
         scale=args.scale,
@@ -122,7 +123,7 @@ def cmd_svg(args) -> int:
         crossing_report=report,
         vertex_labels=not args.no_labels,
     )
-    _write_bytes(args.out, render_svg(drawing, options).encode("ascii"))
+    _write_bytes(args.out, _svg(drawing, options))
     return 0
 
 

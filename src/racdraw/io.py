@@ -8,21 +8,23 @@ Edge-list text format::
 
 Drawing documents are JSON with every numeric value encoded as a decimal
 integer string: coordinates can exceed 2**53, and downstream consumers must
-not be tempted into lossy float parsing. ``dumps_drawing`` writes the one
-canonical document of a drawing. ``loads_drawing`` accepts a text only if
-it is exactly the writer's text for the arrays read from it, plus at most
-one trailing newline; that one comparison is the whole schema check, so key
-sets, id order, the fields derived from ``n`` and the ids and every
-integer's spelling hold by construction.
+not be tempted into lossy float parsing. A document is only ever bytes
+between the file and the arrays: ``_document`` yields the one canonical
+document's chunks as they are spelled, and ``loads_drawing`` takes bytes
+(or a ``str``, encoded as UTF-8 once) only if they are exactly the writer's
+bytes for the arrays read from them, plus at most one trailing newline.
+That one comparison is the whole schema check, so key sets, id order, the
+fields derived from ``n`` and the ids and every integer's spelling hold by
+construction.
 
-So the reader needs no JSON parser. It views the text as bytes, a slice of
-about 1 MiB at a time, finds each vertex "x"/"y" key, edge "source"/"target"
+So the reader needs no JSON parser. It views the bytes a slice of about
+1 MiB at a time, finds each vertex "x"/"y" key, edge "source"/"target"
 key and bend '[' by a byte that is rare in a document, and turns the digits
 of the values behind them into int64 with vector arithmetic, the inverse of
 the writer's ``digit_matrix`` (compare Langdale and Lemire, "Parsing
 gigabytes of JSON per second", VLDB J. 2019, on finding structure in JSON
-bytes). Whatever it reads from a text that is not canonical, the written
-text differs from it by the first bad byte, and the comparison names that
+bytes). Whatever it reads from bytes that are not canonical, the written
+bytes differ from them by the first bad byte, and the comparison names that
 field.
 """
 
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -192,45 +196,36 @@ _POINTS = _block(b'","y":"', b'"}')
 # Bends a..f as ["x","y"] pairs, then k, source and target.
 _BENDS = _block(*(b'","', b'"],["') * 5, b'","', b'"]],"k":"')
 _ENDS = _block(b'","source":"', b'","target":"', b'"}')
+_SLOTS = (b'","level":"', b'","pos":"', b'","x":"')
 
 
-def _document(d: Drawing) -> list[bytes | bytearray]:
+def _slots(l: int, ids: range) -> list[np.ndarray]:
+    """The ``json_rows`` spell of the id, level and pos of vertices ``ids``."""
+    ids = np.arange(ids.start, ids.stop, dtype=np.int64)
+    cols = zip((ids, *vertex_slot(l, ids)), _SLOTS)
+    return [m for c, sep in cols for m in (digit_matrix(c), literal_rows(sep, len(ids)))]
+
+
+def _document(d: Drawing) -> Iterator[bytes | bytearray]:
     """The chunks of ``dumps_drawing(d)``'s bytes, spelled by ``json_rows``
-    straight from the arrays."""
+    straight from the arrays as they are taken."""
     n, m, l = d.n, d.m, d.l
+    ends = np.concatenate((first_bend_index(l, d.endpoints[:, 1:]), d.endpoints), axis=1)
+    yield b'{"edges":['
+    yield from json_rows(m, (b'{"bends":[["', (_BENDS, d.bends.reshape(-1, 12)), (_ENDS, ends)))
     params = ",".join(f'"{key}":"{v}"' for key, v in sorted(params_from_n(n).items()))
-    ids = np.arange(n, dtype=np.int64)
-    level, pos = vertex_slot(l, ids)
-    vertices = json_rows(
-        n,
-        (
-            b'{"id":"', (digit_matrix, ids),
-            b'","level":"', (digit_matrix, level),
-            b'","pos":"', (digit_matrix, pos),
-            b'","x":"', (_POINTS, d.vertices),
-        ),
-    )
-    source, target = d.endpoints[:, 0], d.endpoints[:, 1]
-    ends = np.stack((first_bend_index(l, target), source, target), axis=1)
-    edges = json_rows(m, (b'{"bends":[["', (_BENDS, d.bends.reshape(-1, 12)), (_ENDS, ends)))
-    middle = (
+    yield (
         f'],"l":"{l}","m":"{m}","n":"{n}","params":{{{params}}},'
         f'"schema":"{SCHEMA}","vertices":['
     ).encode("ascii")
-    return [b'{"edges":[', *edges, middle, *vertices, b"]}"]
+    yield from json_rows(n, (b'{"id":"', (partial(_slots, l), range(n)), (_POINTS, d.vertices)))
+    yield b"]}"
 
 
 def dumps_drawing(d: Drawing) -> str:
-    """Byte-stable JSON text for a drawing (no trailing newline).
-
-    Written as ``json.dumps`` with sorted keys and separators ``(",", ":")``
-    would write the document: every key and value is a fixed ASCII name or
-    a decimal integer string, so nothing needs escaping. The vertex and
-    edge rows are spelled by ``json_rows`` straight from the arrays, a
-    chunk of rows at a time. The points, the twelve bend columns and each
-    edge's k, source and target are each spelled by one ``digit_matrix``
-    call per chunk.
-    """
+    """Byte-stable JSON text for a drawing, with no trailing newline: the
+    chunks of ``_document`` joined, as ``json.dumps`` with sorted keys and
+    separators ``(",", ":")`` writes it, since nothing needs escaping."""
     return b"".join(_document(d)).decode("ascii")
 
 
@@ -384,32 +379,28 @@ def _name(tokens: list[str], j: int) -> str:
     return prefix + key
 
 
-def _common_prefix(a: str, b: str) -> int:
-    """The length of the longest common prefix of ``a`` and ``b``, found by
-    halving with ``startswith``."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.startswith(b[lo:mid], lo):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _value(raw: bytes, at: int):
+    """The JSON value that starts at ``raw[at]``; ValueError if none does."""
+    return json.JSONDecoder().raw_decode(str(memoryview(raw)[at:], "utf-8", "replace"))[0]
 
 
-def _reject(text: str, canonical: str) -> None:
-    """Raise the typed error for the first byte where ``text`` departs from
-    ``canonical``, the writer's text for the arrays read from ``text``."""
-    i = _common_prefix(text, canonical)
+def _reject(raw: bytes, size: int, canonical: bytes) -> None:
+    """Raise the typed error for the first byte where ``raw[:size]`` departs
+    from ``canonical``, the writer's bytes for the arrays read from
+    ``raw``."""
+    k = min(size, len(canonical))
+    same = np.frombuffer(raw, np.uint8, k) == np.frombuffer(canonical, np.uint8, k)
+    i = k if same.all() else int(same.argmin())
     # Byte i lies in string t of canonical.split('"') if t is odd, and
     # after string t - 1 if t is even; an opening quote starts its string.
-    t = canonical.count('"', 0, i)
-    t += t % 2 == 0 and canonical[i : i + 1] == '"'
-    tokens = canonical.split('"', t + 1)
+    t = canonical.count(b'"', 0, i)
+    opening = t % 2 == 0 and canonical[i : i + 1] == b'"'
+    t += opening
+    tokens = canonical.decode("ascii").split('"', t + 1)
     name = _name(tokens, t - 1 + t % 2) if t and i < len(canonical) else "document"
     if t % 2 and tokens[t + 1][:1] != ":":
         try:
-            value = json.JSONDecoder().raw_decode(text, len('"'.join(tokens[:t])))[0]
+            value = _value(raw, i if opening else canonical.rfind(b'"', 0, i))
         except ValueError:
             pass
         else:
@@ -429,24 +420,11 @@ def _reject(text: str, canonical: str) -> None:
     raise DocumentError(f"{name} at byte {i}: {_NOT_CANONICAL}")
 
 
-def loads_drawing(text: str) -> Drawing:
-    """The drawing whose canonical document is ``text``: the vertex points,
-    edge endpoints and bends, read from where ``dumps_drawing`` puts them,
-    if ``dumps_drawing`` writes ``text`` for them (one trailing newline
-    aside). Otherwise a ``DocumentError`` names the first field where
-    ``text`` departs from the writer's text.
-
-    The columns are read from the text's bytes by ``_read``; a value that
-    is not a quoted integer reads as -1. Edge endpoints are checked first,
-    since the drawing needs ids of the vertices read, and an endpoint that
-    is not one raises here. The written text is compared chunk by chunk,
-    and only a text that differs is written whole, for ``_reject`` to name
-    the field.
-    """
-    size = len(text) - text.endswith("\n")
-    # One byte per character: a non-ASCII one reads as '?', which no
-    # canonical document holds.
-    columns, states, starts = _read(text.encode("ascii", "replace"))
+def _drawing(raw: bytes) -> Drawing:
+    """The drawing of the columns ``_read`` reads from ``raw``, where a value
+    that is not a quoted integer reads as -1; an endpoint that is not an id
+    of a vertex read raises here."""
+    columns, states, starts = _read(raw)
     x, y, source, target, bend_x, bend_y = columns
     # With no vertex read, compare with a one-vertex drawing. Bends past the
     # edges read are dropped, and missing bends read as -1.
@@ -464,30 +442,42 @@ def loads_drawing(text: str) -> Drawing:
         if not read[e, side]:
             at = int(starts[e, side])
             try:
-                value = json.JSONDecoder().raw_decode(text, at)[0]
+                value = _value(raw, at)
             except ValueError:
                 message = f"{context} of edge {e} at byte {at}: {_NOT_CANONICAL}"
                 raise DocumentError(message) from None
             _read_int(value, context)
         raise DocumentError(f"{context} of edge {e}: need two distinct vertex ids below {n}")
-    d = Drawing(points, endpoints, bends.reshape(-1, 6, 2))
-    chunks = _document(d)
+    return Drawing(points, endpoints, bends.reshape(-1, 6, 2))
+
+
+def loads_drawing(text: str | bytes) -> Drawing:
+    """The drawing whose canonical document is ``text`` (bytes, or a ``str``
+    read as its UTF-8 bytes), if ``dumps_drawing`` writes those bytes for the
+    arrays ``_drawing`` reads from them, one trailing newline aside; each
+    chunk of ``_document`` is compared as it is spelled. Otherwise a
+    ``DocumentError`` names the first field where the bytes depart, found
+    by ``_reject`` from the whole written document."""
+    raw = text.encode("utf-8", "replace") if isinstance(text, str) else text
+    d = _drawing(raw)
+    size = len(raw) - raw.endswith(b"\n")
     written = 0
-    for chunk in chunks:
-        if not text.startswith(chunk.decode("ascii"), written):
+    for chunk in _document(d):
+        if not raw.startswith(chunk, written):
             break
         written += len(chunk)
     else:
         if written == size:
             return d
-    _reject(text[:size], b"".join(chunks).decode("ascii"))
+    _reject(raw, size, b"".join(_document(d)))
 
 
 def write_drawing(d: Drawing, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_drawing(d) + "\n")
+    with open(path, "wb") as fh:
+        fh.writelines(_document(d))
+        fh.write(b"\n")
 
 
 def read_drawing(path: str) -> Drawing:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return loads_drawing(fh.read())

@@ -16,7 +16,8 @@ in ``io``, an SVG's elements in ``svg``) are written by one row writer,
 the narrowest unsigned lane that holds what is left to spell, fixed text
 is broadcast between the columns, and each chunk's matrix is written into
 a ``bytearray`` whose non-NUL bytes are its rows. No row is ever a Python
-string.
+string, and no output is held whole: ``json_rows`` yields each chunk as it
+is spelled, for its taker to write or compare before the next is made.
 
 All types are immutable values and safe to share across threads.
 """
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -227,8 +229,9 @@ def ratio_matrix(num: np.ndarray, den: np.ndarray) -> list[np.ndarray]:
     return [digit_matrix(num), slash, denominator]
 
 
-def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytearray]:
-    """Rows 0..n-1 of a JSON array, joined by ``sep``, as bytes-like chunks.
+def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> Iterator[bytearray]:
+    """Rows 0..n-1 of a JSON array, joined by ``sep``, as bytes-like chunks
+    spelled one at a time, as they are taken.
 
     Each piece is a bytes literal, the same in every row, or a tuple
     ``(spell, *columns)``: ``spell`` maps the columns' rows lo:hi to a uint8
@@ -237,7 +240,6 @@ def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytearray]:
     by side, behind columns of ``sep``, and its bytes are the matrix's
     non-NUL bytes; no row is a Python string.
     """
-    chunks = []
     for lo in range(0, n, _ROW_CHUNK):
         hi = min(n, lo + _ROW_CHUNK)
         head = np.frombuffer(sep, dtype=np.uint8)[None].repeat(hi - lo, axis=0)
@@ -257,8 +259,7 @@ def json_rows(n: int, pieces: tuple, sep: bytes = b",") -> list[bytearray]:
         width = sum(p.shape[1] for p in parts)
         raw = bytearray((hi - lo) * width)
         np.concatenate(parts, axis=1, out=np.frombuffer(raw, np.uint8).reshape(hi - lo, width))
-        chunks.append(raw.translate(None, b"\0"))
-    return chunks
+        yield raw.translate(None, b"\0")
 
 
 def literal_rows(literal: bytes, rows: int) -> np.ndarray:
@@ -366,17 +367,18 @@ class CrossingReport:
         """The canonical ``rac-report/1`` bytes: ``json_chunks`` joined."""
         return b"".join(self.json_chunks())
 
-    def json_chunks(self) -> list[bytes | bytearray]:
-        """The canonical ``rac-report/1`` bytes as a list of bytes-like
-        chunks (head, rows, tail), for a writer that need not hold them
-        joined.
+    def json_chunks(self) -> Iterator[bytes | bytearray]:
+        """The canonical ``rac-report/1`` bytes as bytes-like chunks (head,
+        rows, tail), for a writer that need not hold them joined. The
+        crossings are listed (and a listing above ``LISTING_LIMIT`` refused)
+        before this returns; their rows are spelled as the chunks are taken.
 
         Written as ``json.dumps`` with sorted keys and separators
         ``(",", ":")`` would write the report: every key is a fixed name and
         every value a generated integer, a fixed name (class, defect kind,
         true/false) or a generated label ("segment:3:S2", "-5/7,12"), so
-        nothing needs escaping. The crossings are spelled by ``json_rows``
-        straight from the columns, a chunk of rows at a time.
+        nothing needs escaping. ``json_rows`` spells the crossing rows
+        straight from the columns.
         """
         xmin, xmax, ymin, ymax = self.bbox
         pairs = ",".join(f'"{k}":{self.pair_counts[k]}' for k in sorted(self.pair_counts))
@@ -409,7 +411,7 @@ class CrossingReport:
             f'],"m":{self.m},"n":{self.n},"pair_counts":{{{pairs}}},'
             f'"schema":"rac-report/1","violations":[{violations}]}}'
         )
-        return [head.encode("ascii"), *crossings, tail.encode("ascii")]
+        return chain((head.encode("ascii"),), crossings, (tail.encode("ascii"),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CrossingReport):

@@ -10,13 +10,17 @@ Every element is one row of ``json_rows``, as every row of the drawing
 document and the report is, written straight from the drawing's arrays
 and the report's columns: integer columns are spelled by
 ``digit_matrix``, coordinates by ``_hundredths``, exactly as ``'%.2f'``
-spells them. No element is a Python string and no XML tree is built.
+spells them. No element is a Python string and no XML tree is built:
+``_svg`` yields the document's chunks as they are spelled, for the CLI to
+write, and ``render_svg`` joins them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from operator import truediv
 
 import numpy as np
@@ -81,15 +85,16 @@ def _hundredths(col: np.ndarray) -> np.ndarray:
     return np.concatenate((sign, digit_matrix(q // 100), tail), axis=1)
 
 
-def _group(attrs: str, n: int, pieces: tuple) -> list[bytes | bytearray]:
-    """A ``<g>`` element of n rows of ``json_rows``, one child element a
-    row, closing itself when it has none."""
+def _group(attrs: str, n: int, pieces: tuple) -> Iterable[bytes | bytearray]:
+    """The chunks of a ``<g>`` element of n rows of ``json_rows``, one
+    child element a row, closing itself when it has none."""
     head = f"<g {attrs}".encode("ascii")
-    return [head, b">", *json_rows(n, pieces, sep=b""), b"</g>"] if n else [head, b" />"]
+    return chain((head, b">"), json_rows(n, pieces, sep=b""), (b"</g>",)) if n else (head, b" />")
 
 
 def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
-    """Render the drawing as an SVG 1.1 document string.
+    """Render the drawing as an SVG 1.1 document string: ``_svg``'s chunks
+    joined.
 
     Attributes are in a fixed order and childless elements are written as
     ``<name ... />``. Every attribute value is a formatted number or a
@@ -97,6 +102,12 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
     needs escaping. Raises ValueError when the scale puts the width, the
     height or a coordinate beyond the float range.
     """
+    return b"".join(_svg(d, options)).decode("ascii")
+
+
+def _svg(d: Drawing, options: SvgOptions) -> Iterator[bytes | bytearray]:
+    """``render_svg``'s bytes as chunks. Whatever can refuse the render is
+    checked before this returns; rows are spelled as the chunks are taken."""
     xmin, xmax, ymin, ymax = bounding_box(d)
     scale = float(options.scale)
     width = (xmax - xmin) * scale + 2 * _MARGIN
@@ -115,11 +126,11 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
         )
 
     finite(width, height)
-    parts = [
+    parts = [[
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width:.2f}" '
         f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">'.encode("ascii")
-    ]
+    ]]
 
     xs, ys = place(*np.moveaxis(d.polylines(), 2, 0))
     # Each coordinate column is spelled once, though a coloured render
@@ -130,13 +141,13 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
         for c in range(7):
             line = (b'<line x1="', x[c], b'" y1="', y[c], b'" x2="', x[c + 1], b'" y2="', y[c + 1])
             attrs = f'class="S{c + 1}" stroke="{CLASS_COLORS[c]}" {stroke}'
-            parts += _group(attrs, d.m, (*line, b'" />'))
+            parts.append(_group(attrs, d.m, (*line, b'" />')))
     else:
         points = [b'<polyline points="']
         for k in range(8):
             points += x[k], b",", y[k], b" "
         points[-1] = b'" />'
-        parts += _group(f'stroke="#333333" {stroke}', d.m, tuple(points))
+        parts.append(_group(f'stroke="#333333" {stroke}', d.m, tuple(points)))
 
     vx, vy = place(d.vertices[:, 0], d.vertices[:, 1])
     dots = [b'<circle cx="', (_hundredths, vx), b'" cy="', (_hundredths, vy)]
@@ -149,7 +160,7 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
             b'" font-size="10" font-family="sans-serif">v', (digit_matrix, ids),
             b" (", (digit_matrix, level), b",", (digit_matrix, pos), b")</text>",
         )
-    parts += _group('class="vertices" fill="#000000"', d.n, tuple(dots))
+    parts.append(_group('class="vertices" fill="#000000"', d.n, tuple(dots)))
 
     if options.crossing_report is not None:
         # x / q is float(Fraction(x, q)): true division of ints rounds once,
@@ -159,11 +170,7 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
         markers = (b'<circle cx="', (_hundredths, cx), b'" cy="', (_hundredths, cy))
         attrs = 'class="crossings" fill="none" stroke="#d01c8b" stroke-width="0.8"'
         marker_radius = b'" r="%.2f" />' % max(1.2, scale * 0.6)
-        parts += _group(attrs, len(q), (*markers, marker_radius))
+        parts.append(_group(attrs, len(q), (*markers, marker_radius)))
 
-    parts.append(b"</svg>\n")
-    # The row chunks are freed before the text is decoded, so at most two
-    # copies of the document are held at once.
-    text = b"".join(parts)
-    del parts
-    return text.decode("ascii")
+    parts.append([b"</svg>\n"])
+    return chain.from_iterable(parts)

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from conftest import canonical_text
-from racdraw import cli
+from racdraw import DocumentError, cli, read_drawing
 from racdraw.cli import main
 
 
@@ -67,6 +68,16 @@ class TestDraw:
         assert main(["draw", "--n", "1448", "--complete", "--out", "-"]) == 0
         assert main(["draw", "--n", "1449", "--complete", "--allow-large", "--out", "-"]) == 0
         assert drawn == [1448, 1449]
+
+    def test_edge_list_on_stdin(self, monkeypatch, capsys):
+        # Edge lists are read as bytes and decoded as ASCII on both paths.
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"n 5\r\n0 4\r\n")))
+        assert main(["draw", "--input", "-", "--out", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == "5" and doc["m"] == "1"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("n 5\n0 ４\n".encode())))
+        assert main(["draw", "--input", "-", "--out", "-"]) == 2
+        assert "ascii" in capsys.readouterr().err
 
     def test_parse_error_surfaces_line(self, tmp_path, capsys):
         edges = tmp_path / "bad.edges"
@@ -148,6 +159,23 @@ class TestValidate:
         assert main(["validate", str(loose)]) == 2
         assert 'sorted keys and separators "," and ":"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_carriage_return_ending_is_usage_error(
+        self, k16_file, tmp_path, monkeypatch, capsys, ending, source
+    ):
+        # A file, stdin and read_drawing all take the same bytes: the
+        # writer's, plus at most one "\n", with no newline translated.
+        path = tmp_path / "cr.json"
+        path.write_bytes(k16_file.read_bytes().removesuffix(b"\n") + ending)
+        if source == "stdin":
+            stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), newline="\n")
+            monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["validate", str(path) if source == "file" else "-"]) == 2
+        assert "sorted keys and separators" in capsys.readouterr().err
+        with pytest.raises(DocumentError, match="sorted keys and separators"):
+            read_drawing(str(path))
+
     def test_overlong_integer_is_usage_error(self, k16_file, tmp_path, capsys):
         doc = json.loads(k16_file.read_text())
         doc["vertices"][0]["x"] = "1" * 5000
@@ -212,6 +240,15 @@ class TestSvg:
         capsys.readouterr()
         assert main(["svg", str(small), "--mark-crossings", "--out", "-"]) == 0
         assert "crossings" in capsys.readouterr().out
+
+    def test_refused_markers_write_no_file(self, k16_file, tmp_path, monkeypatch, capsys):
+        # The SVG's chunks are written as they are spelled, but the crossing
+        # listing is refused before the file is opened.
+        monkeypatch.setattr("racdraw.model.LISTING_LIMIT", 100)
+        out = tmp_path / "marked.svg"
+        assert main(["svg", str(k16_file), "--mark-crossings", "--out", str(out)]) == 2
+        assert "7760 crossings exceed the listing limit 100" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_viewport_beyond_float_range_is_usage_error(self, k16_file, tmp_path, capsys):
         out = tmp_path / "big.svg"

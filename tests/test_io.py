@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from conftest import doc_of, load_doc, random_graph
+from conftest import canonical_text, doc_of, load_doc, random_graph
 from racdraw import (
     DerivedFieldError,
     DocumentError,
@@ -29,6 +30,7 @@ from racdraw import (
     validate,
     write_drawing,
 )
+from racdraw.io import _document
 from racdraw.layout import first_bend_index, params_from_n, vertex_slot
 
 # SHA-256 of dumps_drawing(_pinned_drawing(n)). The complete drawings are
@@ -312,7 +314,8 @@ class TestDrawingDocument:
             text = dumps_drawing(draw_graph(random_graph(rng, max_n=81, max_m=100)))
             assert dumps_drawing(loads_drawing(text)) == text
 
-    @pytest.mark.parametrize("field,value", [("level", "2"), ("pos", "3")])
+    # "10" is read up to its closing quote, where the written "1" ends.
+    @pytest.mark.parametrize("field,value", [("level", "2"), ("pos", "3"), ("level", "10")])
     def test_wrong_vertex_slot_rejected(self, k16, field, value):
         doc = doc_of(k16)
         doc["vertices"][0][field] = value
@@ -376,54 +379,102 @@ class TestDrawingDocument:
         assert in_memory.to_json_bytes() == written.to_json_bytes()
 
 
+# Edits of K16's document, one for each error the tests above pin, with a
+# fragment of the message.
+BAD_DOCUMENTS = {
+    "schema": (lambda doc: doc.update(schema="rac-drawing/0"), "schema"),
+    "6-bends": (lambda doc: doc["edges"][0]["bends"].pop(), "6 bends"),
+    "params": (lambda doc: doc["params"].update(level_gap="68"), "params"),
+    "derived-l": (lambda doc: doc.update(l="3"), "l is '3'"),
+    "listed-by-id": (lambda doc: doc["vertices"].reverse(), "listed by id"),
+    "vertex-x": (lambda doc: doc["vertices"][0].update(x="3.5"), "vertex.x"),
+    "edge-40-endpoint": (lambda doc: doc["edges"][40].update(target="16"), "of edge 40"),
+}
+
+
+@pytest.mark.parametrize("edit,message", BAD_DOCUMENTS.values(), ids=list(BAD_DOCUMENTS))
+def test_str_and_bytes_raise_alike(k16, edit, message):
+    # A str is read as its bytes, so both raise the same error.
+    doc = doc_of(k16)
+    edit(doc)
+    text = canonical_text(doc)
+    with pytest.raises(DocumentError, match=message) as from_str:
+        loads_drawing(text)
+    with pytest.raises(DocumentError) as from_bytes:
+        loads_drawing(text.encode())
+    assert type(from_bytes.value) is type(from_str.value)
+    assert str(from_bytes.value) == str(from_str.value)
+
+
 class TestLoaderSoundness:
-    # The loader accepts a text only as the writer's bytes for the drawing
-    # it returns: every single-byte edit either raises a DocumentError or
-    # reads as a drawing that writes exactly the edited text.
+    # The loader accepts a document only as the writer's bytes for the
+    # drawing it returns: every single-byte edit either raises a
+    # DocumentError or reads as a drawing that writes exactly the edited
+    # document. Each edit is made to the str and to the bytes of a document;
+    # the bytes also take 0xC3, a UTF-8 lead byte without its continuation,
+    # and 0xFF, which is in no UTF-8 text.
     ALPHABET = '0123456789-"[]{},: \\\nabkxyé５'
+    BYTES = [*(c.encode() for c in ALPHABET), b"\xc3", b"\xff"]
+
+    @staticmethod
+    def _written(mutant: str | bytes) -> str | bytes | None:
+        """The writer's document, in the type of ``mutant``, for the drawing
+        read from ``mutant``; None if it is rejected."""
+        try:
+            text = dumps_drawing(loads_drawing(mutant))
+        except DocumentError:
+            return None
+        return text if isinstance(mutant, str) else text.encode()
 
     def test_single_byte_edits(self, k16):
         rng = random.Random(0xC6)
         drawings = [k16, *(draw_graph(random_graph(rng)) for _ in range(20)), _huge_drawing()]
         rng = random.Random(0x50D)
-        rejected = accepted = 0
+        counts = {str: [0, 0], bytes: [0, 0]}
         for d in drawings:
             text = dumps_drawing(d)
-            for _ in range(300):
-                i = rng.randrange(len(text) + 1)
-                edit = rng.choice(("replace", "insert", "delete"))
-                byte = rng.choice(self.ALPHABET)
-                head, tail = text[:i], text[i + (edit != "insert") :]
-                mutant = head + ("" if edit == "delete" else byte) + tail
-                try:
-                    got = loads_drawing(mutant)
-                except DocumentError:
-                    rejected += 1
-                    continue
-                assert dumps_drawing(got) == mutant.removesuffix("\n"), (edit, i, byte)
-                accepted += 1
-        assert rejected > accepted > 0
+            edits = ((text, self.ALPHABET, "\n"), (text.encode(), self.BYTES, b"\n"))
+            for doc, alphabet, newline in edits:
+                for _ in range(300):
+                    i = rng.randrange(len(doc) + 1)
+                    edit = rng.choice(("replace", "insert", "delete"))
+                    byte = rng.choice(alphabet)
+                    head, tail = doc[:i], doc[i + (edit != "insert") :]
+                    mutant = head + (doc[:0] if edit == "delete" else byte) + tail
+                    written = self._written(mutant)
+                    assert written in (None, mutant.removesuffix(newline)), (edit, i, byte)
+                    counts[type(doc)][written is None] += 1
+        for accepted, rejected in counts.values():
+            assert rejected > accepted > 0
 
     def test_duplicated_slices(self, k16):
         # A slice of up to 60 bytes written twice can repeat a key, a value
-        # or a whole vertex or bend; the text is still rejected or read as
-        # the drawing that writes it.
+        # or a whole vertex or bend; the document is still rejected or read
+        # as the drawing that writes it.
         rng = random.Random(0xD0B)
         drawings = [k16, *(draw_graph(random_graph(rng)) for _ in range(5)), _huge_drawing()]
-        rejected = 0
+        rejected = {str: 0, bytes: 0}
         for d in drawings:
             text = dumps_drawing(d)
-            for _ in range(300):
-                i = rng.randrange(len(text))
-                j = min(len(text), i + rng.randint(1, 60))
-                mutant = text[:j] + text[i:]
-                try:
-                    got = loads_drawing(mutant)
-                except DocumentError:
-                    rejected += 1
-                    continue
-                assert dumps_drawing(got) == mutant, (i, j)
-        assert rejected > 0
+            for doc in (text, text.encode()):
+                for _ in range(300):
+                    i = rng.randrange(len(doc))
+                    j = min(len(doc), i + rng.randint(1, 60))
+                    mutant = doc[:j] + doc[i:]
+                    written = self._written(mutant)
+                    assert written in (None, mutant), (i, j)
+                    rejected[type(doc)] += written is None
+        assert all(rejected.values())
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_prefix_ending_at_a_chunk_rejected(self, n):
+        # Every written chunk up to the end of such a prefix matches it, and
+        # it is still rejected: the written document is longer.
+        d = draw_complete(n)
+        doc = dumps_drawing(d).encode()
+        for end in list(accumulate(map(len, _document(d))))[:-1]:
+            with pytest.raises(DocumentError):
+                loads_drawing(doc[:end])
 
     def test_one_trailing_newline_accepted(self, k16):
         assert loads_drawing(dumps_drawing(k16) + "\n") == k16
