@@ -13,9 +13,8 @@ between the file and the arrays: ``_document`` yields the one canonical
 document's chunks as they are spelled, and ``loads_drawing`` takes bytes
 (or a ``str``, encoded as UTF-8 once) only if they are exactly the writer's
 bytes for the arrays read from them, plus at most one trailing newline.
-That one comparison is the whole schema check, so key sets, id order, the
-fields derived from ``n`` and the ids and every integer's spelling hold by
-construction.
+That one comparison is the whole schema check and the only way a document
+is refused: the first chunk that departs from the bytes names the field.
 
 So the reader needs no JSON parser. It views the bytes a slice of about
 1 MiB at a time, finds each vertex "x"/"y" key, edge "source"/"target"
@@ -24,16 +23,15 @@ of the values behind them into int64 with vector arithmetic, the inverse of
 the writer's ``digit_matrix`` (compare Langdale and Lemire, "Parsing
 gigabytes of JSON per second", VLDB J. 2019, on finding structure in JSON
 bytes). Whatever it reads from bytes that are not canonical, the written
-bytes differ from them by the first bad byte, and the comparison names that
-field.
+bytes depart from them at the first bad field.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from functools import partial
-from typing import Iterator
+from json import JSONDecodeError, JSONDecoder
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -263,15 +261,13 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return first[keep], after[keep]
 
 
-def _values(buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, state, end) of the values whose opening quotes should be at
-    ``at``.
+def _values(buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, end) of the values whose opening quotes should be at ``at``.
 
-    State 1 is a quoted run of 1 to ``_DIGITS`` ASCII digits behind an
-    optional "-", read with int64 arithmetic, one digit place at a time
-    for all values; state 2 is a longer run, read by ``int`` into an object
-    column; state 0 is anything else. A value that does not read is -1.
-    ``end`` is where each run of digits stops.
+    A quoted run of 1 to ``_DIGITS`` ASCII digits behind an optional "-" is
+    read with int64 arithmetic, one digit place at a time for all values; a
+    longer run is read by ``int`` into an object column; anything else
+    reads as -1. ``end`` is where each run of digits stops.
     """
     # Item i holds the bytes buf[i : i + _DIGITS + 2], so that the digits
     # of a value are gathered as one item.
@@ -284,20 +280,20 @@ def _values(buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     width = digit.argmin(axis=1)
     end = first + width
     opening = buf[at] == _QUOTE
-    state = np.where(width > _DIGITS, 2 * opening, opening & (buf[end] == _QUOTE) & (width > 0))
+    short = opening & (buf[end] == _QUOTE) & (width > 0) & (width <= _DIGITS)
     # Horner's rule over the digit places, each value stopping at its run's
     # end; at most _DIGITS places keep it below 10**_DIGITS.
     value = np.zeros(len(at), dtype=np.int64)
     for place in range(min(int(width.max(initial=0)), _DIGITS)):
         value = np.where(width > place, value * 10 + window[:, place], value)
-    value = np.where(state == 1, np.where(neg, -value, value), -1)
-    longs = np.flatnonzero(state == 2).tolist()
+    value = np.where(short, np.where(neg, -value, value), -1)
+    longs = np.flatnonzero(opening & (width > _DIGITS)).tolist()
     if longs:
         text = buf.tobytes()
         value = value.astype(object)
         for i in longs:
             value[i], end[i] = _long(text, int(at[i]))
-    return value, state, end
+    return value, end
 
 
 def _long(text: bytes, at: int) -> tuple[int, int]:
@@ -310,25 +306,17 @@ def _long(text: bytes, at: int) -> tuple[int, int]:
         return -1, end
 
 
-def _column(parts: list[np.ndarray]) -> np.ndarray:
-    """One column from its parts, with the dtype ``int_column`` gives it."""
-    col = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return int_column(col.tolist()) if col.dtype == object else col
-
-
-def _read(raw: bytes) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def _read(raw: bytes) -> list[np.ndarray]:
     """The vertex x and y, edge source and target, and bend x and y
-    columns of ``raw``, and the state (see ``_values``) and the position of
-    the opening quote of each edge's source and target values.
+    columns of ``raw``.
 
     A vertex is an "x" key followed by a "y" key, and an edge a "source"
     key followed by a "target" key, whatever their values; a bend is a
     '["' anywhere. A value of more than ``_DIGITS`` digits makes its part of
-    a column object, read by ``int``.
+    a column object, read by ``int``, unless ``int_column`` narrows it.
     """
     whole = np.frombuffer(raw, dtype=np.uint8)
-    columns = [[] for _ in range(6)]
-    states, starts = [], []
+    columns = [[np.zeros(0, dtype=np.int64)] for _ in range(6)]
     lo = 0
     while lo < len(raw):
         hi = raw.find(b"}", lo + _SLICE) + 1 or len(raw)
@@ -343,19 +331,15 @@ def _read(raw: bytes) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
             _keys(buf, size, b'"source"', ord("u")) + 1, _keys(buf, size, b'"target"', ord("g")) + 1
         )
         keyed = (x, y, source, target, _keys(buf, size, b'["', ord("[")) - 1)
-        value, state, end = _values(buf, np.concatenate(keyed))
+        value, end = _values(buf, np.concatenate(keyed))
         # A bend's y value follows its x value's closing quote and a comma.
         bend_y = np.minimum(end[len(end) - len(keyed[-1]) :] + 2, size)
         value_y = _values(buf, bend_y)[0]
         bounds = np.cumsum([len(k) for k in keyed])
         for col, part in zip(columns, np.split(np.concatenate((value, value_y)), bounds)):
             col.append(part)
-        states.append(np.stack(np.split(state[bounds[1] : bounds[3]], 2), axis=1))
-        starts.append(np.stack((source, target), axis=1) + lo)
         lo = hi
-    none = [np.zeros((0, 2), dtype=np.int64)]
-    states, starts = np.concatenate(states or none), np.concatenate(starts or none)
-    return [_column(col) for col in columns], states, starts
+    return [c if c.dtype != object else int_column(c) for c in map(np.concatenate, columns)]
 
 
 _NOT_CANONICAL = (
@@ -380,27 +364,52 @@ def _name(tokens: list[str], j: int) -> str:
 
 
 def _value(raw: bytes, at: int):
-    """The JSON value that starts at ``raw[at]``; ValueError if none does."""
-    return json.JSONDecoder().raw_decode(str(memoryview(raw)[at:], "utf-8", "replace"))[0]
-
-
-def _reject(raw: bytes, size: int, canonical: bytes) -> None:
-    """Raise the typed error for the first byte where ``raw[:size]`` departs
-    from ``canonical``, the writer's bytes for the arrays read from
-    ``raw``."""
-    k = min(size, len(canonical))
-    same = np.frombuffer(raw, np.uint8, k) == np.frombuffer(canonical, np.uint8, k)
-    i = k if same.all() else int(same.argmin())
-    # Byte i lies in string t of canonical.split('"') if t is odd, and
-    # after string t - 1 if t is even; an opening quote starts its string.
-    t = canonical.count(b'"', 0, i)
-    opening = t % 2 == 0 and canonical[i : i + 1] == b'"'
-    t += opening
-    tokens = canonical.decode("ascii").split('"', t + 1)
-    name = _name(tokens, t - 1 + t % 2) if t and i < len(canonical) else "document"
-    if t % 2 and tokens[t + 1][:1] != ":":
+    """The JSON value that starts at ``raw[at]``, or ValueError, decoded from
+    a window that ends at the next quote and doubles until the value fits."""
+    end = raw.find(b'"', at + 1) + 1 or len(raw)
+    while True:
         try:
-            value = _value(raw, i if opening else canonical.rfind(b'"', 0, i))
+            return JSONDecoder().raw_decode(str(memoryview(raw)[at:end], "utf-8", "replace"))[0]
+        except ValueError:
+            if end >= len(raw):
+                raise
+            end += end - at
+
+
+def _reject(raw: bytes, written: int, chunk, d: Drawing, n: int) -> NoReturn:
+    """Raise the typed error for the first byte where ``raw`` departs from
+    ``chunk``, the writer's chunk for ``d`` (n vertices read) due at byte
+    ``written``, before which the two agree. Each '{' lies between two
+    strings, so the strings after the last '{' before it name the field."""
+    k = min(len(chunk), len(raw) - written)
+    same = np.frombuffer(chunk, np.uint8, k) == np.frombuffer(raw, np.uint8, k, written)
+    i = written + (k if same.all() else int(same.argmin()))
+    c, lo = i - written, raw.rfind(b"{", 0, i)
+    if lo < 0 or c == len(chunk):
+        raise DocumentError(f"document at byte {i}: {_NOT_CANONICAL}")
+    # Byte i lies in string t of the tokens if t is odd, and after string
+    # t - 1 if t is even; an opening quote starts its string.
+    t = raw.count(b'"', lo, i)
+    opening = t % 2 == 0 and chunk[c : c + 1] == b'"'
+    t += opening
+    tail = chunk[c : chunk.find(b'"', c + opening) + 2] if t % 2 else chunk[c : c + 1]
+    tokens = (raw[lo:i] + tail).decode("ascii").split('"')
+    name = _name(tokens, t - 1 + t % 2)
+    if t % 2 and tokens[t + 1][:1] != ":":
+        at = i if opening else raw.rfind(b'"', 0, i)
+        if name.startswith("edge."):
+            # A stand-in endpoint departs there, or at the k spelled from it.
+            side, pos, e = name, at, raw.count(b'{"bends"', 0, i) - 1
+            if name == "edge.k":
+                side, pos = "edge.target", raw.find(b'"target"', i) + len(b'"target":')
+            try:
+                v = _read_int(_value(raw, pos), side)
+            except JSONDecodeError:
+                raise DocumentError(f"{side} of edge {e} at byte {pos}: {_NOT_CANONICAL}") from None
+            if not 0 <= v < n or side == "edge.target" and v == d.endpoints[e, 0]:
+                raise DocumentError(f"{side} of edge {e}: need two distinct vertex ids below {n}")
+        try:
+            value = _value(raw, at)
         except ValueError:
             pass
         else:
@@ -420,56 +429,46 @@ def _reject(raw: bytes, size: int, canonical: bytes) -> None:
     raise DocumentError(f"{name} at byte {i}: {_NOT_CANONICAL}")
 
 
-def _drawing(raw: bytes) -> Drawing:
-    """The drawing of the columns ``_read`` reads from ``raw``, where a value
-    that is not a quoted integer reads as -1; an endpoint that is not an id
-    of a vertex read raises here."""
-    columns, states, starts = _read(raw)
-    x, y, source, target, bend_x, bend_y = columns
-    # With no vertex read, compare with a one-vertex drawing. Bends past the
-    # edges read are dropped, and missing bends read as -1.
+def _drawing(raw: bytes) -> tuple[Drawing, int]:
+    """The drawing of the columns ``_read`` reads from ``raw`` (a value that
+    is not a quoted integer reads as -1) and the number n of vertices read.
+    An endpoint that is not an id below n, or a target equal to its source,
+    is replaced by the least of 0, 1 and 2 that is neither endpoint, so the
+    drawing departs from ``raw`` there or at the ``k`` spelled from it."""
+    x, y, source, target, bend_x, bend_y = _read(raw)
+    # Bends past the edges read are dropped, and missing bends read as -1.
     n, m = max(len(x), 1), len(source)
-    points = np.stack((x, y), axis=1) if len(x) else np.zeros((1, 2), dtype=np.int64)
     bends = np.stack((bend_x, bend_y), axis=1)[: 6 * m]
     bends = np.concatenate((bends, np.full((6 * m - len(bends), 2), -1)))
-    read = states == 1
-    endpoints = np.where(read, np.stack((source, target), axis=1), -1).astype(np.int64)
-    bad = (endpoints < 0) | (endpoints >= n)
-    bad[:, 1] |= endpoints[:, 0] == endpoints[:, 1]
-    if bad.any():
-        e, side = np.argwhere(bad)[0].tolist()
-        context = ("edge.source", "edge.target")[side]
-        if not read[e, side]:
-            at = int(starts[e, side])
-            try:
-                value = _value(raw, at)
-            except ValueError:
-                message = f"{context} of edge {e} at byte {at}: {_NOT_CANONICAL}"
-                raise DocumentError(message) from None
-            _read_int(value, context)
-        raise DocumentError(f"{context} of edge {e}: need two distinct vertex ids below {n}")
-    return Drawing(points, endpoints, bends.reshape(-1, 6, 2))
+    ends = [source, target]
+    for side in (0, 1):
+        bad = (ends[side] < 0) | (ends[side] >= n) | (side == 1) & (ends[0] == ends[1])
+        free = np.argmin([(ends[0] == v) | (ends[1] == v) for v in range(3)], axis=0)
+        ends[side] = np.where(bad, free, ends[side])
+    endpoints = np.stack(ends, axis=1).astype(np.int64)
+    # With no vertex read, compare with a one-vertex drawing; a stand-in
+    # past the vertices read is one more at (0, 0), written after the edges.
+    points = np.zeros((max(n, int(endpoints.max(initial=0)) + 1), 2), np.result_type(x, y))
+    points[: len(x), 0], points[: len(x), 1] = x, y
+    return Drawing(points, endpoints, bends.reshape(-1, 6, 2)), n
 
 
 def loads_drawing(text: str | bytes) -> Drawing:
     """The drawing whose canonical document is ``text`` (bytes, or a ``str``
     read as its UTF-8 bytes), if ``dumps_drawing`` writes those bytes for the
-    arrays ``_drawing`` reads from them, one trailing newline aside; each
-    chunk of ``_document`` is compared as it is spelled. Otherwise a
-    ``DocumentError`` names the first field where the bytes depart, found
-    by ``_reject`` from the whole written document."""
+    drawing ``_drawing`` reads from them, one trailing newline aside: the
+    chunks of ``_document`` are spelled once, each compared as it is taken,
+    and ``_reject`` names the field where the first that differs departs."""
     raw = text.encode("utf-8", "replace") if isinstance(text, str) else text
-    d = _drawing(raw)
-    size = len(raw) - raw.endswith(b"\n")
+    d, n = _drawing(raw)
     written = 0
     for chunk in _document(d):
         if not raw.startswith(chunk, written):
-            break
+            _reject(raw, written, chunk, d, n)
         written += len(chunk)
-    else:
-        if written == size:
-            return d
-    _reject(raw, size, b"".join(_document(d)))
+    if written < len(raw) - raw.endswith(b"\n"):
+        _reject(raw, written, b"", d, n)
+    return d
 
 
 def write_drawing(d: Drawing, path: str) -> None:

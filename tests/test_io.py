@@ -494,13 +494,27 @@ class TestLoaderSoundness:
         with pytest.raises(DocumentError, match="sorted keys and separators"):
             loads_drawing(reformat(dumps_drawing(k16)))
 
+    # A 20-digit source makes the endpoint column an object column; the
+    # loader compares a drawing with a stand-in id in its place.
     @pytest.mark.parametrize(
-        "field,value", [("target", "2"), ("target", "16"), ("source", "-1")],
-        ids=["loop", "beyond-n", "negative"],
+        "field,value",
+        [("target", "2"), ("target", "16"), ("source", "-1"), ("source", "1" * 20)],
+        ids=["loop", "beyond-n", "negative", "object-column"],
     )
     def test_bad_endpoint_is_a_document_error(self, k16, field, value):
         doc = doc_of(k16)
         assert doc["edges"][40]["source"] == "2"
         doc["edges"][40][field] = value
-        with pytest.raises(DocumentError, match=f"edge.{field} of edge 40"):
+        with pytest.raises(DocumentError, match=f"edge.{field} of edge 40") as err:
             load_doc(doc)
+        assert str(err.value).endswith(": need two distinct vertex ids below 16")
+
+    def test_bad_endpoint_of_a_one_vertex_document_is_a_document_error(self):
+        # K2 cut to one vertex keeps edge 0: no two ids below n = 1 can hold
+        # it, so the drawing compared has stand-in vertices past the one read.
+        doc = doc_of(draw_complete(2))
+        del doc["vertices"][1]
+        doc["n"] = "1"
+        with pytest.raises(DocumentError) as err:
+            load_doc(doc)
+        assert str(err.value) == "edge.target of edge 0: need two distinct vertex ids below 1"

@@ -4,6 +4,8 @@ that do not read as integers."""
 
 import random
 import tracemalloc
+from contextlib import nullcontext
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -57,21 +59,58 @@ def test_int64_boundary_round_trips(values):
     assert (back.vertices.dtype == object) == any(v not in INT64_VALUES for v in values)
 
 
+def _last_pos_edited(raw: bytes) -> bytes:
+    """``raw`` with the first digit of its last "pos" value changed."""
+    at = raw.rindex(b'"pos":"') + 7
+    return raw[:at] + b"%d" % (int(raw[at : at + 1]) % 9 + 1) + raw[at + 1 :]
+
+
 def test_loader_memory_is_bounded():
     # The document is made before tracing starts: the peak is the reader's
     # columns and temporaries, gone before the compare, or the drawing and
     # the one written-back chunk compared at a time. Bytes are read as they
-    # are, near 1.7 times the document; a str is first encoded once, which
-    # adds one copy, near 2.7 times.
+    # are, near 1.6 times the document; a str is first encoded once, which
+    # adds one copy, near 2.6 times. A document edited at its last vertex is
+    # refused from the last chunk, within the bound of an accepted one.
     text = dumps_drawing(test_io._pinned_drawing(50_000))
-    for doc, bound in ((text, 3.25), (text.encode(), 2.25)):
+    edited = _last_pos_edited(text.encode())
+    for doc, bound in ((text, 3.25), (text.encode(), 2.25), (edited, 2.25)):
+        refused = pytest.raises(DocumentError, match="vertex.pos")
         tracemalloc.start()
         try:
-            loads_drawing(doc)
+            with refused if doc is edited else nullcontext():
+                loads_drawing(doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= bound * len(doc), (type(doc), peak / len(doc))
+
+
+@pytest.mark.parametrize("edit", ["none", "first-vertex", "last-vertex", "chunk-prefix"])
+def test_document_is_spelled_once(edit, monkeypatch):
+    # Accepted or refused, the loader spells the written document once: a
+    # refusal is named from the chunk that differs. Chunks of 7 rows put the
+    # edits in later chunks and make many chunk boundaries.
+    monkeypatch.setattr(racdraw.model, "_ROW_CHUNK", 7)
+    d = draw_complete(16)
+    raw = dumps_drawing(d).encode()
+    key = b'"vertices":[{"id":"0","level":"1","pos":"'
+    first = raw.index(key) + len(key)
+    docs = {
+        "none": raw,
+        "first-vertex": raw[:first] + b"2" + raw[first + 1 :],
+        "last-vertex": _last_pos_edited(raw),
+        "chunk-prefix": raw[: list(accumulate(map(len, racdraw.io._document(d))))[-2]],
+    }
+    spelled = []
+    document = racdraw.io._document
+    monkeypatch.setattr(racdraw.io, "_document", lambda d: spelled.append(d) or document(d))
+    if edit == "none":
+        assert loads_drawing(docs[edit]) == d
+    else:
+        with pytest.raises(DocumentError, match="vertex.pos" if "vertex" in edit else None):
+            loads_drawing(docs[edit])
+    assert len(spelled) == 1
 
 
 class TestSmallSlices:
