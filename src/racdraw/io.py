@@ -376,11 +376,31 @@ def _value(raw: bytes, at: int):
             end += end - at
 
 
+def _stated_n(raw: bytes) -> int:
+    """The document's "n" if it is a canonical integer that ``int`` reads,
+    else 0."""
+    at = raw.find(b'"n":"')
+    try:
+        value = _value(raw, at + 4) if at >= 0 else None
+        return int(value) if isinstance(value, str) and _INT_RE.fullmatch(value) else 0
+    except ValueError:
+        return 0
+
+
 def _reject(raw: bytes, written: int, chunk, d: Drawing, n: int) -> NoReturn:
     """Raise the typed error for the first byte where ``raw`` departs from
     ``chunk``, the writer's chunk for ``d`` (n vertices read) due at byte
     ``written``, before which the two agree. Each '{' lies between two
-    strings, so the strings after the last '{' before it name the field."""
+    strings, so the strings after the last '{' before it name the field.
+    A vertex row the reader does not take changes n, and with it every
+    field derived from n, so a stated n of at least 1 that differs from
+    the vertices read names the vertex rows first."""
+    stated = _stated_n(raw)
+    if stated >= 1 and stated != n:
+        raise DocumentError(
+            f"vertex rows: n is {stated}, but {n} rows with a vertex.x key "
+            "followed by a vertex.y key were read"
+        )
     k = min(len(chunk), len(raw) - written)
     same = np.frombuffer(chunk, np.uint8, k) == np.frombuffer(raw, np.uint8, k, written)
     i = written + (k if same.all() else int(same.argmin()))

@@ -27,9 +27,10 @@ mode works in the rotated lattice basis p = x*l^3 + y, q = x - y*l^3, in
 which the two slope families are axis-parallel: POS segments keep q fixed
 and NEG segments keep p fixed, so their crossings are orthogonal segment
 intersections, decided and located exactly in (p, q). The verdict counts
-the strict box meets (proper crossings) per class pair with a sweep over
-p and a Fenwick decomposition over q ranks (Bentley & Ottmann 1979;
-Fenwick 1994), and the meets on a box's boundary, shared endpoints among
+the strict box meets (proper crossings) per class pair as dominance sums
+over POS ends sorted on p, by a wavelet matrix over their q ranks (Claude
+& Navarro 2012) whose weights hold each class as a signed bit field of an
+int64 lane, and the meets on a box's boundary, shared endpoints among
 them, by binary search over ends sorted in (p, q). Two counts must be
 zero: boundary meets other than a shared endpoint (an endpoint on the
 other's interior) and any strict meet of a disallowed class pair. When
@@ -459,11 +460,11 @@ def _blocks(b: np.ndarray, top: int, start, stop) -> Iterator[tuple]:
     """Walk the position ranges start[i]:stop[i] of ``b`` bottom up, as a
     segment tree does (Six & Wood 1982), each taking at most two aligned
     blocks of 2**level positions per level, as in a Fenwick tree (Fenwick
-    1994). Yields per level (level, by, key, i, node): the positions block
-    by block, each block in ascending b, their ascending keys
-    (position >> level) * top + b, and the blocks ``node`` taken by ranges
-    ``i``. Every b is an int64 rank below ``top``; a stable sort finds each
-    block as two sorted runs of the level below.
+    1994), for ``_boxes``. Yields per level (level, by, key, i, node): the
+    positions block by block, each block in ascending b, their ascending
+    keys (position >> level) * top + b, and the blocks ``node`` taken by
+    ranges ``i``. Every b is an int64 rank below ``top``; a stable sort
+    finds each block as two sorted runs of the level below.
     """
     by, i, level = np.arange(len(b)), np.flatnonzero(start < stop), 0
     lo, hi = start[i], stop[i]
@@ -595,24 +596,47 @@ def _family_pair_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _dominance(a, b, w, x, y, top: int) -> np.ndarray:
-    """Per query k, the sum of the rows ``w[i]`` over the points with
-    ``a[i] < x[k]`` and ``b[i] < y[k]``; every value is an int64 rank, with
-    ``b < top`` and ``y <= top``.
+def _wavelet(a, b, w, x, y) -> np.ndarray:
+    """Per query k, the sum of the columns ``w[:, i]`` over the points with
+    ``a[i] < x[k]`` and ``b[i] < y[k]``, in int64 modulo 2**64, one row per
+    row of ``w``; a, b, x and y are int64 ranks, b and y not negative.
 
-    Sorted on a, the points below x[k] are a prefix, which ``_blocks``
-    cuts into at most one block per level; in a block sorted on b, the
-    share of the query is one binary search.
+    Sorted on a, the points below x[k] are a prefix. A wavelet matrix over
+    b (Claude & Navarro, "The Wavelet Matrix", SPIRE 2012) takes one bit of
+    b per level, top bit first, and partitions the points stably, zeros
+    first. A query's points that agree with y on the bits above are one
+    range [lo, hi) there: it adds the weights of the range's zeros where
+    y's bit is 1 and moves to the side of y's bit, each read off a cumsum
+    at the range's two ends.
     """
     order = np.argsort(a, kind="stable")
-    b, w = b[order], w[order]
-    k = np.searchsorted(a[order], x)
-    out = np.zeros((len(x), w.shape[1]), dtype=np.int64)
-    cum = np.zeros((len(b) + 1, w.shape[1]), dtype=np.int64)
-    for level, by, key, hit, node in _blocks(b, top, np.zeros_like(k), k):
-        np.cumsum(w[by], axis=0, out=cum[1:])
-        out[hit] += cum[np.searchsorted(key, node * top + y[hit])] - cum[node << level]
+    b, w = b[order], w[:, order]
+    lo, hi = np.zeros(len(x), dtype=np.int64), np.searchsorted(a[order], x)
+    out = np.zeros((len(w), len(x)), dtype=np.int64)
+    zeros = np.zeros(len(b) + 1, dtype=np.int64)
+    cum = np.zeros((len(w), len(b) + 1), dtype=np.int64)
+    for level in range(int(max(b.max(initial=0), y.max(initial=0))).bit_length() - 1, -1, -1):
+        zero = (b >> level) & 1 == 0
+        np.cumsum(zero, out=zeros[1:])
+        np.cumsum(w * zero, axis=1, out=cum[:, 1:])
+        one = (y >> level) & 1 == 1
+        out += (cum[:, hi] - cum[:, lo]) * one
+        lo = np.where(one, lo - zeros[lo] + zeros[-1], zeros[lo])
+        hi = np.where(one, hi - zeros[hi] + zeros[-1], zeros[hi])
+        perm = np.concatenate((np.flatnonzero(zero), np.flatnonzero(~zero)))
+        b, w = b[perm], w[:, perm]
     return out
+
+
+def _fields(packed: np.ndarray, bits: int) -> np.ndarray:
+    """The signed fields of ``bits`` bits that lanes ``packed[lane, k]``
+    hold, from the lowest, as rows k of every lane's fields in turn; each
+    is exact in [-2**(bits - 1), 2**(bits - 1)). Raised by half a field,
+    no field borrows from the next, so each is read from its own bits."""
+    shifts, half = np.arange(0, 64 // bits * bits, bits, dtype=np.uint64), 1 << bits - 1
+    raised = packed.view(np.uint64) + np.uint64(sum(half << int(s) for s in shifts))
+    fields = (raised[:, :, None] >> shifts & np.uint64(2 * half - 1)).astype(np.int64) - half
+    return fields.transpose(1, 0, 2).reshape(packed.shape[1], -1)
 
 
 def _stabbed(group, lo, hi, at_group, at, top: int) -> int:
@@ -639,7 +663,7 @@ def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     In (p, q) a POS segment is horizontal and a NEG segment vertical, so a
     pair meets iff NEG's p lies in POS's p-span and POS's q in NEG's q-span
     (the closed box), and crosses properly iff both hold strictly, a
-    difference of ``_dominance`` terms over ranks. A meet on the box's
+    difference of ``_wavelet`` terms over ranks. A meet on the box's
     boundary puts NEG's p at a POS end or POS's q at a NEG end, and a
     corner meet does both, sharing an endpoint; each is a ``_stabbed``
     count. Returns the strict meets as an 8 x 8 grid indexed [class of
@@ -660,7 +684,13 @@ def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     # Above every p and q rank, so a pair of ranks keys as one int64.
     top = len(p_rank) + len(q_rank)
     pos_classes, column = np.unique(t.classes[pos.idx], return_inverse=True)
-    w = np.eye(len(pos_classes), dtype=np.int64)[column.reshape(-1)]
+    # Each class is a signed field of ``bits`` bits in an int64 lane. A sum
+    # of its n_c segments' weights lies in [-n_c, n_c], within the field, so
+    # the fields stay exact however the lane's int64 sums wrap.
+    bits = int(np.bincount(column).max()).bit_length() + 1
+    lane, slot = np.divmod(column, 64 // bits)
+    w = np.zeros((int(lane.max()) + 1, n_pos), dtype=np.int64)
+    w[lane, np.arange(n_pos)] = 1 << bits * slot
     pos_ends, pos_q = np.concatenate((p_lo, p_hi)), np.concatenate((q, q))
     neg_ends, neg_p = np.concatenate((q_lo, q_hi)), np.concatenate((p, p))
     # A POS start weighs +1 on its class and an end -1; in doubled p ranks
@@ -668,8 +698,8 @@ def _count_pos_neg(t: _Table) -> tuple[np.ndarray, int]:
     # p_hi <= p. The strict q-bounds are q < q_hi, less q < q_lo + 1.
     a = np.concatenate((2 * p_lo + 2, 2 * p_hi))
     y = np.concatenate((q_hi, q_lo + 1))
-    terms = _dominance(a, pos_q, np.concatenate((w, -w)), 2 * neg_p + 1, y, top)
-    strict = terms[:n_neg] - terms[n_neg:]
+    terms = _wavelet(a, pos_q, np.concatenate((w, -w), axis=1), 2 * neg_p + 1, y)
+    strict = _fields(terms[:, :n_neg] - terms[:, n_neg:], bits)[:, : len(pos_classes)]
     np.add.at(grid, (pos_classes[None, :], t.classes[neg.idx][:, None]), strict)
     on_p = _stabbed(p, q_lo, q_hi, pos_ends, pos_q, top)
     on_q = _stabbed(q, p_lo, p_hi, neg_ends, neg_p, top)

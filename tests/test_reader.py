@@ -191,3 +191,18 @@ def test_unread_endpoint_is_named(k16, field, value):
     doc["edges"][40][field] = value
     with pytest.raises(NonIntegerCoordinateError, match=f"edge.{field}"):
         load_doc(doc)
+
+
+@pytest.mark.parametrize("spelling", [b'"y"', b'"z":'], ids=["no-colon", "other-key"])
+def test_unread_vertex_is_named_at_the_vertex_rows(spelling):
+    # Without its "y": key, vertex 3 of K17 is not read: 16 vertices put
+    # the drawing on the l = 2 grid, whose edge 0 k is the first chunk to
+    # differ, but the document's n names the vertex rows.
+    raw = dumps_drawing(draw_complete(17)).encode()
+    at = raw.index(b'"y":', raw.index(b'{"id":"3",'))
+    with pytest.raises(DocumentError) as err:
+        loads_drawing(raw[:at] + spelling + raw[at + 4 :])
+    assert type(err.value) is DocumentError
+    assert str(err.value) == (
+        "vertex rows: n is 17, but 16 rows with a vertex.x key followed by a vertex.y key were read"
+    )

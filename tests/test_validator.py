@@ -777,6 +777,137 @@ class TestCountFirst:
         assert (touches > 0) == (name != "clean")
 
 
+def _direct_sums(a, b, w, x, y):
+    """Per query k, the columns of ``w`` summed over the points with
+    a < x[k] and b < y[k], point by query, wrapping as int64 does."""
+    hit = (a[None, :] < x[:, None]) & (b[None, :] < y[:, None])
+    return (w[:, None, :] * hit[None, :, :]).sum(axis=2)
+
+
+def _int64(value: int) -> int:
+    """``value`` modulo 2**64, read as a signed int64."""
+    value %= 1 << 64
+    return value - (1 << 64) if value >> 63 else value
+
+
+def _relabelled(d, pos_classes):
+    """The table of ``d`` with its POS segments in ``pos_classes``."""
+    t = _Table(d)
+    t.classes = t.classes.copy()
+    t.classes[t.groups[validator._POS].idx] = pos_classes
+    return t
+
+
+def _strict_meets(t):
+    """The strict POS x NEG box meets in (p, q) as a POS x NEG matrix, and
+    as a grid per class pair, tested pair by pair."""
+    pos, neg = t.groups[validator._POS], t.groups[validator._NEG]
+    (p_lo, p_hi), (q, _), (p, _), (q_lo, q_hi) = validator._raw_spans(pos, neg)
+    hit = (p_lo[:, None] < p) & (p < p_hi[:, None]) & (q_lo < q[:, None]) & (q[:, None] < q_hi)
+    grid = np.zeros((8, 8), dtype=np.int64)
+    i, j = np.nonzero(hit)
+    np.add.at(grid, (t.classes[pos.idx[i]], t.classes[neg.idx[j]]), 1)
+    return hit, grid
+
+
+class TestPackedCount:
+    # The POS x NEG count sums one-hot class weights packed as bit fields
+    # of int64 lanes through a wavelet matrix. A silent slow path or a
+    # field too narrow would keep some reports right, so the lanes and the
+    # fields are checked directly.
+
+    def _spy(self, monkeypatch, name):
+        calls = []
+        real = getattr(validator, name)
+        monkeypatch.setattr(validator, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wavelet_matches_direct_sums(self, seed):
+        # Few distinct a and b values make ties; weights up to 2**62 of
+        # either sign make the sums wrap; y runs from 0 to the bound top,
+        # which a power of two puts one bit above every b.
+        rng = np.random.default_rng(seed)
+        top = int(rng.choice([1, 2, 7, 8, 33, 64]))
+        n_points, n_queries = (int(v) for v in rng.integers(2, 80, 2))
+        a, b = rng.integers(0, 10, n_points), rng.integers(0, top, n_points)
+        w = rng.integers(-(1 << 62), 1 << 62, (int(rng.integers(1, 3)), n_points))
+        x, y = rng.integers(0, 12, n_queries), rng.integers(0, top + 1, n_queries)
+        y[:2] = 0, top
+        got = validator._wavelet(a, b, w, x, y)
+        assert np.array_equal(got, _direct_sums(a, b, w, x, y))
+
+    def test_wavelet_without_queries_or_points(self):
+        none, ones = np.zeros(0, dtype=np.int64), np.ones((2, 5), dtype=np.int64)
+        assert validator._wavelet(np.arange(5), np.arange(5), ones, none, none).shape == (2, 0)
+        got = validator._wavelet(none, none, ones[:, :0], np.array([3]), np.array([3]))
+        assert got.tolist() == [[0], [0]]
+
+    @pytest.mark.parametrize("bits", [2, 10, 21, 32])
+    def test_fields_at_both_bounds(self, bits):
+        # Every field of two lanes at +/-(2**(bits - 1) - 1), each summed
+        # from three parts as large as a lane, so the int64 sums wrap; the
+        # count's wavelet matrix adds them, and a query that takes no point
+        # reads every field as 0.
+        rng = random.Random(bits)
+        slots, bound = 64 // bits, (1 << bits - 1) - 1
+        want = [bound if s % 3 else -bound for s in range(2 * slots)]
+        parts = []
+        for field in want:
+            r1, r2 = rng.randrange(-(1 << 62), 1 << 62), rng.randrange(-(1 << 62), 1 << 62)
+            parts.append((r1, r2, field - r1 - r2))
+        lanes = [parts[:slots], parts[slots:]]
+        w = np.array(
+            [[_int64(sum(p[k] << bits * s for s, p in enumerate(lane))) for k in range(3)]
+             for lane in lanes],
+            dtype=np.int64,
+        )
+        zeros = np.zeros(3, dtype=np.int64)
+        sums = validator._wavelet(zeros, zeros, w, np.array([1, 0]), np.array([1, 1]))
+        fields = validator._fields(sums, bits)
+        assert fields.tolist() == [want, [0] * len(want)]
+
+    def test_paper_drawings_take_one_lane(self, k16, k81, monkeypatch):
+        # K16 and K81 have POS segments of classes 1, 2 and 4: three fields
+        # of one lane, one per class.
+        calls = self._spy(monkeypatch, "_wavelet")
+        for d in (k16, k81):
+            validate(d)
+            w = calls.pop()[2]
+            assert w.shape[0] == 1
+            assert len(np.unique(np.abs(w))) == 3
+
+    def test_seven_classes_take_two_lanes(self, monkeypatch):
+        # 300 of K25's 618 POS segments in class 1 make fields of 10 bits,
+        # six to a lane, so the seven classes take two lanes.
+        d = draw_complete(25)
+        rng = np.random.default_rng(25)
+        n_pos = len(_Table(d).groups[validator._POS].idx)
+        labels = rng.permutation(np.concatenate(([1] * 300, rng.integers(2, 8, n_pos - 300))))
+        t = _relabelled(d, labels)
+        calls = self._spy(monkeypatch, "_wavelet")
+        strict, surplus = validator._count_pos_neg(t)
+        assert calls[0][2].shape[0] == 2
+        assert np.array_equal(strict, _strict_meets(t)[1])
+        assert surplus == 0
+
+    def test_field_at_its_bound(self, monkeypatch):
+        # 127 POS segments of K25 that all cross one NEG segment make class
+        # 1, and the others classes 2 to 7, none as large: fields of 8 bits,
+        # and that NEG segment's class 1 field reads 127 = 2**7 - 1.
+        d = draw_complete(25)
+        hit, _ = _strict_meets(_Table(d))
+        labels = np.arange(len(hit)) % 6 + 2
+        labels[np.flatnonzero(hit[:, hit.sum(axis=0).argmax()])[:127]] = 1
+        t = _relabelled(d, labels)
+        calls = self._spy(monkeypatch, "_fields")
+        strict, _ = validator._count_pos_neg(t)
+        packed, bits = calls[0]
+        assert bits == 8
+        assert validator._fields(packed, bits)[:, 0].max() == 127
+        assert np.array_equal(strict, _strict_meets(t)[1])
+
+
 class TestCallingThread:
     # Validation runs on the calling thread in both modes: an error in any
     # stage reaches the caller, and no thread is started.
