@@ -1,4 +1,4 @@
-"""Command-line interface: draw, validate, stats, svg, bench.
+"""Command-line interface: draw, validate, stats, svg.
 
 Exit codes: 0 success, 1 a validated drawing has violations, 2 usage or
 I/O errors. ``draw`` never validates implicitly, so construction can be
@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from statistics import median
-from time import perf_counter
 
 from .io import _document, loads_drawing, parse_edge_list
 from .layout import GraphInput, draw_complete, draw_graph
@@ -127,59 +124,6 @@ def cmd_svg(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    l: int
-    n: int
-    m: int
-    seconds: float
-    per_op: float
-
-
-def bench_rows(l_max: int, repeat: int = 3) -> list[BenchRow]:
-    """Time pure construction of complete drawings for l = 2..l_max.
-
-    Each measurement loops the construction enough times to swamp timer
-    resolution; the median over ``repeat`` measurements is reported along
-    with time per placed-or-routed element, which should be near-constant
-    if construction is linear in n + m.
-    """
-    if l_max < 2:
-        raise ValueError("l-max must be >= 2")
-    if l_max**4 * (l_max**4 - 1) // 2 > DEFAULT_EDGE_CAP:
-        raise ValueError(f"K{l_max**4} exceeds the {DEFAULT_EDGE_CAP}-edge cap")
-    rows = []
-    for l in range(2, l_max + 1):
-        n = l**4
-        m = n * (n - 1) // 2
-        iters = max(1, 200_000 // (n + m))
-        samples = []
-        for _ in range(max(1, repeat)):
-            start = perf_counter()
-            for _ in range(iters):
-                draw_complete(n)
-            samples.append((perf_counter() - start) / iters)
-        sec = median(samples)
-        rows.append(BenchRow(l, n, m, sec, sec / (n + m)))
-    return rows
-
-
-def cmd_bench(args) -> int:
-    try:
-        rows = bench_rows(args.l_max, args.repeat)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    print(f"{'l':>3} {'n':>7} {'m':>9} {'median_s':>10} {'s/(n+m)':>12}")
-    for row in rows:
-        print(
-            f"{row.l:>3} {row.n:>7} {row.m:>9} {row.seconds:>10.5f} "
-            f"{row.per_op:>12.3e}"
-        )
-    per_ops = [row.per_op for row in rows]
-    print(f"max/min per-op ratio: {max(per_ops) / min(per_ops):.2f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="racdraw",
@@ -223,11 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_svg.add_argument("--no-labels", action="store_true")
     p_svg.set_defaults(func=cmd_svg)
-
-    p_bench = sub.add_parser("bench", help="time construction for l = 2..L")
-    p_bench.add_argument("--l-max", type=int, default=4)
-    p_bench.add_argument("--repeat", type=int, default=3)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

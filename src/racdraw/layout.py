@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -34,11 +35,19 @@ class GraphInput:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise ValueError(f"non-integer vertex count: {self.n!r}") from None
+        if n < 1:
             raise ValueError("empty graph")
         seen: set[frozenset[int]] = set()
         for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            try:
+                in_range = 0 <= index(u) < n and 0 <= index(v) < n
+            except TypeError:
+                raise ValueError(f"non-integer vertex id: ({u!r}, {v!r})") from None
+            if not in_range:
                 raise ValueError(f"vertex id out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")

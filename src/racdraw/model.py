@@ -55,8 +55,17 @@ def int_column(values) -> np.ndarray:
 
 
 def _frozen(values, tail: tuple[int, ...], name: str) -> np.ndarray:
-    if isinstance(values, np.ndarray) and values.dtype.kind not in "iuO":
-        raise TypeError(f"{name} must hold integers, not {values.dtype}")
+    if not isinstance(values, np.ndarray):
+        # Not converted straight to int64, which would truncate a float or
+        # parse a string; Python ints keep their values in an object array.
+        values = np.array(values, dtype=object)
+    elif values.dtype.kind == "u":
+        # Cast to int64, a value from 2**63 on would wrap.
+        values = values.astype(object)
+    if values.dtype.kind not in "iO" or (
+        values.dtype.kind == "O" and not all(isinstance(v, int) for v in values.flat)
+    ):
+        raise TypeError(f"{name} must hold integers")
     arr = int_column(values)
     if arr.size == 0:
         arr = arr.reshape((0, *tail))

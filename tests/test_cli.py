@@ -45,6 +45,8 @@ class TestDraw:
         edges = tmp_path / "g.edges"
         edges.write_text("n 2\n0 1\n")
         assert main(["draw", "--n", "2", "--input", str(edges)]) == 2
+        assert main(["draw", "--input", str(edges), "--complete"]) == 2
+        assert "--complete requires --n" in capsys.readouterr().err
 
     def test_large_l_needs_override(self, capsys):
         assert main(["draw", "--n", "65537", "--complete", "--out", "-"]) == 2
@@ -78,6 +80,14 @@ class TestDraw:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("n 5\n0 ４\n".encode())))
         assert main(["draw", "--input", "-", "--out", "-"]) == 2
         assert "ascii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--input", "--out"])
+    def test_os_error_is_usage_error(self, tmp_path, capsys, option):
+        path = tmp_path / "missing" / "file"
+        source = [] if option == "--input" else ["--n", "2"]
+        assert main(["draw", *source, option, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(path) in err
 
     def test_parse_error_surfaces_line(self, tmp_path, capsys):
         edges = tmp_path / "bad.edges"
@@ -255,24 +265,6 @@ class TestSvg:
         assert main(["svg", str(k16_file), "--scale", "1e307", "--out", str(out)]) == 2
         assert "scale 1e+307" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestBench:
-    def test_l_max_too_small(self, capsys):
-        assert main(["bench", "--l-max", "1"]) == 2
-        assert "l-max must be >= 2" in capsys.readouterr().err
-
-    def test_l_max_beyond_edge_cap(self, monkeypatch, capsys):
-        # K2401 (l = 7) has 2,881,200 edges; K1296 (l = 6) fits.
-        monkeypatch.setattr(cli, "draw_complete", lambda n: pytest.fail("drew K%d" % n))
-        assert main(["bench", "--l-max", "7"]) == 2
-        assert "K2401 exceeds" in capsys.readouterr().err
-
-    def test_table_shape(self, capsys):
-        assert main(["bench", "--l-max", "2", "--repeat", "1"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 3  # header, one row, ratio line
-        assert out[1].split()[0] == "2"
 
 
 def test_draw_validate_compose_via_pipe():

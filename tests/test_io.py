@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import accumulate
 
 import numpy as np
@@ -155,6 +156,8 @@ class TestParseEdgeList:
             parse_edge_list("0 1\n")
         with pytest.raises(MissingHeaderError):
             parse_edge_list("")
+        with pytest.raises(MissingHeaderError, match="must be >= 1"):
+            parse_edge_list("n 0\n")
 
     @pytest.mark.parametrize(
         "text,error,line",
@@ -166,6 +169,7 @@ class TestParseEdgeList:
             ("n 03\n0 1", MissingHeaderError, 1),
             ("n 3\n00 1", MalformedLineError, 2),
             ("n 3\n-1 1", MalformedLineError, 2),
+            ("n " + "1" * (sys.get_int_max_str_digits() + 1), MissingHeaderError, 1),
         ],
         ids=[
             "superscript-count",
@@ -175,6 +179,7 @@ class TestParseEdgeList:
             "leading-zero-count",
             "leading-zero-id",
             "negative-id",
+            "count-beyond-conversion-limit",
         ],
     )
     def test_non_canonical_number_rejected(self, text, error, line):

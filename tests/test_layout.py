@@ -244,6 +244,8 @@ class TestDrawGraph:
             (3, ((0, 0),), "self-loop"),
             (3, ((0, 1), (1, 0)), "duplicate edge"),
             (3, ((0, 3),), "out of range"),
+            (3, ((0, 1.5),), "non-integer vertex id"),
+            (3.5, (), "non-integer vertex count"),
         ],
     )
     def test_input_validation(self, n, edges, message):

@@ -245,6 +245,8 @@ class TestDrawingArrays:
         assert d.vertices.dtype == object
         assert d.vertices[1].tolist() == [2**70, -(2**70)]
         assert d == Drawing(d.vertices.tolist(), d.endpoints, d.bends)
+        unsigned = Drawing(np.array([[0, 0], [2**63, 1]], dtype=np.uint64), [], [])
+        assert unsigned.vertices[1].tolist() == [2**63, 1]
 
     @pytest.mark.parametrize(
         "endpoints,bends,message",
@@ -260,8 +262,16 @@ class TestDrawingArrays:
             Drawing([[0, 0], [17, 0]], endpoints, bends)
 
     def test_rejects_float_coordinates(self):
-        with pytest.raises(TypeError):
-            Drawing(np.array([[0.5, 0.0]]), [], [])
+        # A float is neither truncated nor kept beside big ints, and a string
+        # is not parsed.
+        for vertices in (
+            np.array([[0.5, 0.0]]),
+            [[0, 0.5], [3, 1]],
+            [[0, 2**70], [1.5, 0]],
+            [[0, "7"], [3, 1]],
+        ):
+            with pytest.raises(TypeError):
+                Drawing(vertices, [], [])
 
 
 def test_intermediates_fit_well_under_128_bits_up_to_l16():

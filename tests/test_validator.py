@@ -193,14 +193,18 @@ class TestValidate:
         # SHA-256 of the canonical rac-report/1 bytes.
         data = k16_filtered[0].to_json_bytes()
         assert data == k16_brute[0].to_json_bytes()
+        # Reports compare by their bytes, and with nothing else.
+        assert k16_filtered[0] == k16_brute[0]
+        assert k16_filtered[0] != data
         assert hashlib.sha256(data).hexdigest() == (
             "a110d3d1f5cacf915eaf4a1f7de1140385f5da0e8fd6ef1c7c501f85efe6b38e"
         )
 
-    def test_corrupted_report_digest_is_pinned(self, k16):
+    def test_corrupted_report_digest_is_pinned(self, k16, k16_filtered):
         b = _bend(k16, 3, 1)
         report = validate(_replace_bend(k16, 3, 1, (b[0] + 1, b[1])), FILTERED)
         assert len(report.violations) == 85
+        assert report != k16_filtered[0]
         assert hashlib.sha256(report.to_json_bytes()).hexdigest() == (
             "ebcff0f31b5b344a59e3319c7e61c5d05294aece16df93541e23970432fab449"
         )
