@@ -44,14 +44,14 @@ which neither mode reports. The sweep counts the overlaps on each
 projection from sorted ends and expands, in chunks of bounded size, the
 pairs of one projection: all of them, or, where a sample shows it
 cheaper, those that also meet one half of its partner (x with y, p with
-q), read off blocks of a Fenwick decomposition sorted on the partner
-(Six & Wood 1982). The other projections filter each chunk. Every sweep
-drops a pair of segments that end at one vertex as it is expanded,
-unless both leave the vertex in one direction, the only way they can
-meet elsewhere. Both modes find segments through vertices with the same
-sweep, vertices taking part as points: one it keeps is strictly inside a
-segment's span wherever that varies, and on its line where a POS, NEG or
-VERT segment is constant, so only a VAR segment can miss the line test.
+q), read off the count's wavelet matrix over their ranks on that half.
+The other projections filter each chunk. Every sweep drops a pair of
+segments that end at one vertex as it is expanded, unless both leave the
+vertex in one direction, the only way they can meet elsewhere. Both
+modes find segments through vertices with the same sweep, vertices
+taking part as points: one it keeps is strictly inside a segment's span
+wherever that varies, and on its line where a POS, NEG or VERT segment
+is constant, so only a VAR segment can miss the line test.
 
 Spans are held in quarter units, so that one closed-overlap test decides
 all of this: a span [lo, hi] with lo < hi as [4*lo + 1, 4*hi - 1], a
@@ -456,35 +456,12 @@ def _expand(owners, start, stop, others) -> Iterator[tuple[np.ndarray, np.ndarra
         yield np.repeat(owners[lo:hi], run), others[shift + np.arange(top - base)]
 
 
-def _blocks(b: np.ndarray, top: int, start, stop) -> Iterator[tuple]:
-    """Walk the position ranges start[i]:stop[i] of ``b`` bottom up, as a
-    segment tree does (Six & Wood 1982), each taking at most two aligned
-    blocks of 2**level positions per level, as in a Fenwick tree (Fenwick
-    1994), for ``_boxes``. Yields per level (level, by, key, i, node): the
-    positions block by block, each block in ascending b, their ascending
-    keys (position >> level) * top + b, and the blocks ``node`` taken by
-    ranges ``i``. Every b is an int64 rank below ``top``; a stable sort
-    finds each block as two sorted runs of the level below.
-    """
-    by, i, level = np.arange(len(b)), np.flatnonzero(start < stop), 0
-    lo, hi = start[i], stop[i]
-    while len(i):
-        key = (by >> level) * top + b[by]
-        order = np.argsort(key, kind="stable")
-        by, key = by[order], key[order]
-        left, right = (lo & 1).astype(bool), (hi & 1).astype(bool)
-        node = np.concatenate((lo[left], hi[right] - 1))
-        yield level, by, key, np.concatenate((i[left], i[right])), node
-        lo, hi, level = (lo + left) >> 1, (hi - right) >> 1, level + 1
-        live = np.flatnonzero(lo < hi)
-        lo, hi, i = lo[live], hi[live], i[live]
-
-
 def _boxes(owners, start, stop, own: _Group, other: _Group, k1: int, side: int):
     """Yield (owner, other) chunks of the pairs of a range set on projection
     k1 that also meet one half of its partner k2 = k1 ^ 1: other's lo at
     most owner's hi (``side`` 0), or other's hi at least owner's lo (1).
-    Ranked on that half, each block of a run keeps those in a prefix.
+    Ranked on that half, those of a run rank below a bound per owner, and
+    ``_levels`` takes them as ranges of its levels.
     """
     k2, order = k1 ^ 1, other.ends[k1][0]
     n = len(order)
@@ -496,9 +473,8 @@ def _boxes(owners, start, stop, own: _Group, other: _Group, k1: int, side: int):
         bound = np.searchsorted(other.ends[k2][1], own.spans[k2][1][owners], "right")
     rank = np.empty(n, dtype=np.int64)
     rank[by_rank] = np.arange(n)
-    for level, by, key, i, node in _blocks(rank[order], n, start, stop):
-        cut = np.searchsorted(key, node * n + bound[i])
-        yield from _expand(owners[i], node << level, cut, order[by])
+    for ids, i, zlo, zhi in _levels(rank[order], start, stop, bound, order):
+        yield from _expand(owners[i], zlo, zhi, ids)
 
 
 def _plan(a: _Group, b: _Group | None, counts: list) -> tuple:
@@ -596,35 +572,49 @@ def _family_pair_candidates(
 # ---------------------------------------------------------------------------
 
 
+def _levels(b, lo, hi, y, ids) -> Iterator[tuple]:
+    """Take, for each query k, the points at positions lo[k]:hi[k] with b
+    below y[k], through a wavelet matrix over the int64 ranks ``b`` (Claude
+    & Navarro, "The Wavelet Matrix", SPIRE 2012); ``ids`` names the points.
+
+    Each level partitions the points stably on one bit of b, top bit first,
+    zeros first. A query's points that agree with y on the bits above are
+    one range: where y's bit is 1 it takes the range's zeros, and it moves
+    to the side of y's bit. Yields per level (ids, k, zlo, zhi): the names
+    in the level's order, of which query k takes positions zlo:zhi, each
+    point once; a query whose range is empty is dropped.
+    """
+    k = np.flatnonzero(lo < hi)
+    lo, hi, y = lo[k], hi[k], y[k]
+    level = int(max(b.max(initial=0), y.max(initial=0))).bit_length()
+    while len(k) and level:
+        level -= 1
+        zero = (b >> level) & 1 == 0
+        zeros = np.concatenate(([0], np.cumsum(zero)))
+        part = np.concatenate((np.flatnonzero(zero), np.flatnonzero(~zero)))
+        b, ids = b[part], ids[part]
+        one = (y >> level) & 1 == 1
+        zlo, zhi = zeros[lo], zeros[hi]
+        yield ids, k[one], zlo[one], zhi[one]
+        lo = np.where(one, lo - zlo + zeros[-1], zlo)
+        hi = np.where(one, hi - zhi + zeros[-1], zhi)
+        live = np.flatnonzero(lo < hi)
+        k, lo, hi, y = k[live], lo[live], hi[live], y[live]
+
+
 def _wavelet(a, b, w, x, y) -> np.ndarray:
     """Per query k, the sum of the columns ``w[:, i]`` over the points with
     ``a[i] < x[k]`` and ``b[i] < y[k]``, in int64 modulo 2**64, one row per
     row of ``w``; a, b, x and y are int64 ranks, b and y not negative.
-
-    Sorted on a, the points below x[k] are a prefix. A wavelet matrix over
-    b (Claude & Navarro, "The Wavelet Matrix", SPIRE 2012) takes one bit of
-    b per level, top bit first, and partitions the points stably, zeros
-    first. A query's points that agree with y on the bits above are one
-    range [lo, hi) there: it adds the weights of the range's zeros where
-    y's bit is 1 and moves to the side of y's bit, each read off a cumsum
-    at the range's two ends.
-    """
+    Sorted on a, the points below x[k] are a prefix; each range ``_levels``
+    takes of it is read off a cumsum of the weights in the level's order."""
     order = np.argsort(a, kind="stable")
-    b, w = b[order], w[:, order]
-    lo, hi = np.zeros(len(x), dtype=np.int64), np.searchsorted(a[order], x)
+    hi = np.searchsorted(a[order], x)
     out = np.zeros((len(w), len(x)), dtype=np.int64)
-    zeros = np.zeros(len(b) + 1, dtype=np.int64)
-    cum = np.zeros((len(w), len(b) + 1), dtype=np.int64)
-    for level in range(int(max(b.max(initial=0), y.max(initial=0))).bit_length() - 1, -1, -1):
-        zero = (b >> level) & 1 == 0
-        np.cumsum(zero, out=zeros[1:])
-        np.cumsum(w * zero, axis=1, out=cum[:, 1:])
-        one = (y >> level) & 1 == 1
-        out += (cum[:, hi] - cum[:, lo]) * one
-        lo = np.where(one, lo - zeros[lo] + zeros[-1], zeros[lo])
-        hi = np.where(one, hi - zeros[hi] + zeros[-1], zeros[hi])
-        perm = np.concatenate((np.flatnonzero(zero), np.flatnonzero(~zero)))
-        b, w = b[perm], w[:, perm]
+    for ids, k, zlo, zhi in _levels(b[order], np.zeros_like(hi), hi, y, order):
+        cum = np.zeros((len(w), zhi.max(initial=0) + 1), dtype=np.int64)
+        np.cumsum(w[:, ids[: cum.shape[1] - 1]], axis=1, out=cum[:, 1:])
+        out[:, k] += cum[:, zhi] - cum[:, zlo]
     return out
 
 
@@ -646,7 +636,7 @@ def _stabbed(group, lo, hi, at_group, at, top: int) -> int:
     Keyed group-major, the intervals of a group that start at or before
     ``at``, less those that end before it, are those that hold it.
     """
-    keys = at_group * top + at
+    keys = np.sort(at_group * top + at)
     starts, ends = np.sort(group * top + lo), np.sort(group * top + hi)
     return int((np.searchsorted(starts, keys, "right") - np.searchsorted(ends, keys)).sum())
 

@@ -600,9 +600,12 @@ class TestFilteredPairStream:
         for fa, fb in validator._FAMILY_PAIRS:
             a, b = t.groups[fa], None if fa == fb else t.groups[fb]
             counts = [validator._overlap_count(a, b, k) for k in range(4)]
-            k1, _, filters = validator._plan(a, b, counts)
+            k1, side, filters = validator._plan(a, b, counts)
             assert sorted([k1, *filters]) == [0, 1, 2, 3]
             assert [counts[k] for k in filters] == sorted(counts[k] for k in filters)
+            if (fa, fb) == (validator._NEG, validator._VAR):
+                # So the K81 verdict walks ``_boxes`` every time.
+                assert side is not None
 
     def test_modes_agree_in_chunks_of_7(self, k16, monkeypatch):
         # Brute and filtered agree on each of these at the default chunk;
@@ -648,11 +651,26 @@ class TestSweepAnatomy:
             got[fa, fb] += len(i)
         assert got == self.K81
 
-    def test_k81_star_drop_leaves_220_var_pairs(self, k81):
+    PLANS = [None, *((k1, side) for k1 in range(4) for side in (None, 0, 1))]
+
+    @pytest.mark.parametrize(
+        "plan", PLANS, ids=lambda p: "planned" if p is None else f"{'xypq'[p[0]]}-{p[1]}"
+    )
+    def test_k81_star_drop_leaves_220_var_pairs(self, k81, plan, monkeypatch):
         # All but 220 of the VAR x VAR pairs are an S1 or S7 against another
-        # at the same vertex, leaving it in another direction.
-        pairs = validator._family_pair_candidates(_Table(k81).groups, ((self.VAR, self.VAR),))
-        assert sum(len(i) for _, _, i, _ in pairs) == 220
+        # at the same vertex, leaving it in another direction. Each forced
+        # plan expands them another way, ``_boxes`` on either half included.
+        if plan is not None:
+            forced = (*plan, [k for k in range(4) if k != plan[0]])
+            monkeypatch.setattr(validator, "_plan", lambda a, b, counts: forced)
+        pairs = [
+            (i, j)
+            for _, _, ia, jb in validator._family_pair_candidates(
+                _Table(k81).groups, ((self.VAR, self.VAR),)
+            )
+            for i, j in zip(ia.tolist(), jb.tolist())
+        ]
+        assert len(pairs) == len({(min(p), max(p)) for p in pairs}) == 220
 
 
 class TestSharedVertexStars:
@@ -846,6 +864,32 @@ class TestPackedCount:
         assert validator._wavelet(np.arange(5), np.arange(5), ones, none, none).shape == (2, 0)
         got = validator._wavelet(none, none, ones[:, :0], np.array([3]), np.array([3]))
         assert got.tolist() == [[0], [0]]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_levels_take_each_point_once(self, seed):
+        # Ranges that start past 0 over points named by a permutation, as
+        # ``_boxes`` walks them: query 0's range is empty, query 1's bound
+        # is 0 and query 2's lies above every b; seed 0's b are all 0, and
+        # seed 1 has no points.
+        rng = np.random.default_rng(seed)
+        top = int(rng.choice([1, 2, 7, 8, 33, 64]))
+        n_points, n_queries = (int(v) for v in rng.integers(3, 80, 2))
+        n_points *= seed != 1
+        b = rng.integers(0, top, n_points) * (seed > 0)
+        lo, hi = np.sort(rng.integers(0, n_points + 1, (2, n_queries)), axis=0)
+        y = rng.integers(0, top + 1, n_queries)
+        hi[0], y[1], y[2] = lo[0], 0, top + int(rng.integers(0, 40))
+        ids = rng.permutation(n_points) + 1000
+        got = [
+            (k, i)
+            for names, ks, zlo, zhi in validator._levels(b, lo, hi, y, ids)
+            for k, z0, z1 in zip(ks.tolist(), zlo.tolist(), zhi.tolist())
+            for i in names[z0:z1].tolist()
+        ]
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(
+            (k, int(ids[i])) for k in range(n_queries) for i in range(lo[k], hi[k]) if b[i] < y[k]
+        )
 
     @pytest.mark.parametrize("bits", [2, 10, 21, 32])
     def test_fields_at_both_bounds(self, bits):
