@@ -349,16 +349,20 @@ class CrossingReport:
             raise ValueError(
                 f"{self.crossing_count} crossings exceed the listing limit {LISTING_LIMIT}"
             )
-        cols = self.crossings()
+        cols = list(self.crossings())
         if len(cols[0]) != self.crossing_count:
-            raise RuntimeError(
-                f"listed {len(cols[0])} crossings, counted {self.crossing_count}"
-            )
-        sa, sb = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
-        ea, eb, ca, cb = sa // 7, sb // 7, sa % 7 + 1, sb % 7 + 1
-        # One int64 key, unique per segment pair, in the canonical order.
-        order = np.argsort((ea * self.m + eb) * 49 + (ca - 1) * 7 + (cb - 1))
-        return tuple(c[order] for c in (ea, eb, ca, cb) + cols[2:])
+            raise RuntimeError(f"listed {len(cols[0])} crossings, counted {self.crossing_count}")
+        # One int64 key on the segment ids (min, max), unique per segment
+        # pair, in the canonical order. Each column is replaced by its sorted
+        # copy as it is taken, and edges and classes are decoded after the
+        # sort, so that few columns are held at once.
+        cols[:2] = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
+        order = np.argsort(
+            (cols[0] // 7 * self.m + cols[1] // 7) * 49 + cols[0] % 7 * 7 + cols[1] % 7
+        )
+        for k, c in enumerate(cols):
+            cols[k] = c[order]
+        return (cols[0] // 7, cols[1] // 7, cols[0] % 7 + 1, cols[1] % 7 + 1, *cols[2:])
 
     def listing(self) -> tuple[list, ...]:
         """The crossings as eight equal-length Python lists in canonical

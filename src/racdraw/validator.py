@@ -5,9 +5,8 @@ pair that meets with exact integer arithmetic (a crossing point is a
 numerator pair over a positive denominator), and reports crossings and
 defects as data. Two modes exist:
 
-* ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs, each
-  classified in Python big-int arithmetic from ints read out of the
-  table's arrays, recording every crossing; the trust anchor.
+* ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs, classified
+  in chunks, recording every crossing; the anchor for what is enumerated.
 * ``FILTERED``: visits only pairs that can meet at a point interior to one
   of them, found by a sorted-span sweep (below), and classifies them with
   the brute scan's own exact code; the one family pair that crosses in a
@@ -16,7 +15,10 @@ defects as data. Two modes exist:
   each segment's actual direction, not by its class label, so corrupted
   inputs cannot defeat the filter.
 
-Both modes must produce byte-identical reports. The report holds the
+One classifier, ``_meet``, decides every pair either mode visits, on
+columns of the table's product dtype; its arithmetic is checked row by row
+against an independent Fraction oracle in the tests. Both modes must
+produce byte-identical reports. The report holds the
 crossing counts per class pair and lists the crossings only when asked:
 each listing enumerates them afresh, unsorted, and puts them in canonical
 order, so any enumeration order yields the same bytes. Validation never
@@ -64,7 +66,8 @@ int64 while max_abs * (l^3 + 1) < 2**61, which bounds 4*|p| + 1 and
 max_abs * max(8 * max_abs, (l^3 + 1)^2) < 2**62, which bounds each
 orientation product and each rotated crossing numerator, and implies the
 span bound; a span value is read back and cast to the product dtype only
-where it enters a product.
+where it enters a product. The numerators of a crossing that is not
+rotated can exceed it, and are taken in Python ints.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -108,8 +110,8 @@ for _a, _b in ALLOWED_CLASS_PAIRS:
 
 # int64 is exact while every vector expression stays below this.
 _INT64_BOUND = 1 << 62
-# Candidate pairs expanded per sweep step; bounds the step's temporaries
-# and the Python ints of a scalar chunk, which run slower at 2**18 pairs.
+# Candidate pairs expanded per sweep step, and segment pairs classified at
+# once; bounds the temporaries of both.
 _CANDIDATE_CHUNK = 1 << 14
 
 
@@ -118,66 +120,71 @@ class ValidationMode(Enum):
     FILTERED = "filtered"
 
 
-def _classify(ax, ay, bx, by, cx, cy, dx, dy):
-    """Exact intersection classification of segments (a,b) and (c,d).
+def _meet(ax, ay, bx, by, cx, cy, dx, dy):
+    """Exact intersection classification of the segments (a, b) and (c, d),
+    one per row of columns of the table's product dtype.
 
-    Returns None for disjoint, else a tagged tuple:
-    ("shared", x, y) | ("touch", x, y) | ("proper", xn, yn, den) with the
-    crossing at (xn/den, yn/den) | ("overlap", x1, y1, x2, y2).
+    Returns (kind, ends, cross). ``kind[k]`` is "" for disjoint, else the
+    tag "shared", "touch", "proper" or "overlap". Where a row meets,
+    ``ends`` (x1, y1, x2, y2) holds the point twice or the overlap's two
+    ends. ``cross`` holds the "proper" rows in row order as ``found``
+    columns (x_num, y_num, den, perp): the crossing (x_num/den, y_num/den),
+    den > 0, in int64, or object where a value exceeds int64, and whether
+    it is a right angle.
     """
-    ux, uy = bx - ax, by - ay
-    vx, vy = dx - cx, dy - cy
+    ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
     rx, ry = cx - ax, cy - ay
     den = ux * vy - uy * vx
-    if den:
-        # Most pairs miss on t alone, so u is computed only for the rest.
-        tn = rx * vy - ry * vx
-        flip = den < 0
-        if flip:
-            den, tn = -den, -tn
-        if tn < 0 or tn > den:
-            return None
-        un = ry * ux - rx * uy if flip else rx * uy - ry * ux
-        if un < 0 or un > den:
-            return None
-        t_end = tn == 0 or tn == den
-        u_end = un == 0 or un == den
-        if t_end and u_end:
-            return ("shared", ax, ay) if tn == 0 else ("shared", bx, by)
-        if t_end:
-            return ("touch", ax, ay) if tn == 0 else ("touch", bx, by)
-        if u_end:
-            return ("touch", cx, cy) if un == 0 else ("touch", dx, dy)
-        return ("proper", ax * den + tn * ux, ay * den + tn * uy, den)
-    # Parallel: intersect only if collinear, and then only along the line.
-    if ux * ry - uy * rx:
-        return None
-    ends = ((ax, ay), (bx, by), (cx, cy), (dx, dy))
-    if ux != 0:
-        lo = max(min(ax, bx), min(cx, dx))
-        hi = min(max(ax, bx), max(cx, dx))
-        axis = 0
-    else:
-        lo = max(min(ay, by), min(cy, dy))
-        hi = min(max(ay, by), max(cy, dy))
-        axis = 1
-    if lo > hi:
-        return None
-    first = next(p for p in ends if p[axis] == lo)
-    if lo == hi:
-        return ("shared", first[0], first[1])
-    last = next(p for p in ends if p[axis] == hi)
-    return ("overlap", first[0], first[1], last[0], last[1])
+    # a + (tn/den) u = c + (un/den) v, flipped so that den >= 0.
+    sign = np.where(den < 0, -1, 1)
+    den, tn, un = den * sign, (rx * vy - ry * vx) * sign, (rx * uy - ry * ux) * sign
+    kind = np.full(len(den), "", dtype="U7")
+    # Where den == 0 this asks tn == un == 0: the segments are collinear.
+    meets = (tn >= 0) & (un >= 0) & (tn <= den) & (un <= den)
+    if not meets.any():
+        return kind, (ax, ay, bx, by), (ax[:0],) * 4
+    t_end, u_end = (tn == 0) | (tn == den), (un == 0) | (un == den)
+    tags = np.where(t_end & u_end, "shared", np.where(t_end | u_end, "touch", "proper"))
+    kind[meets] = tags[meets]
+    x = np.where(t_end, np.where(tn == 0, ax, bx), np.where(un == 0, cx, dx))
+    y = np.where(t_end, np.where(tn == 0, ay, by), np.where(un == 0, cy, dy))
+    x2, y2 = x.copy(), y.copy()
+    # Collinear segments meet only along their line, on the axis where
+    # (a, b) varies; there one value names one point.
+    par = np.flatnonzero(meets & (den == 0))
+    if len(par):
+        pts = [(X[par], Y[par]) for X, Y in ((ax, ay), (bx, by), (cx, cy), (dx, dy))]
+        on = [np.where(ux[par] != 0, px, py) for px, py in pts]
+        lo = np.maximum(np.minimum(on[0], on[1]), np.minimum(on[2], on[3]))
+        hi = np.minimum(np.maximum(on[0], on[1]), np.maximum(on[2], on[3]))
+        for v, X, Y in ((lo, x, y), (hi, x2, y2)):
+            at = [e == v for e in on[:3]]
+            X[par], Y[par] = (np.select(at, [p[c] for p in pts[:3]], pts[3][c]) for c in (0, 1))
+        kind[par] = np.where(lo < hi, "overlap", np.where(lo == hi, "shared", ""))
+    # A crossing's numerators reach 24 * max_abs**3, past the products'
+    # bound, so they are taken in Python ints for the proper rows alone.
+    hit = np.flatnonzero(kind == "proper")
+    d, t, px, py, wx, wy = (col[hit].astype(object) for col in (den, tn, ax, ay, ux, uy))
+    cross = map(int_column, (px * d + t * wx, py * d + t * wy, d))
+    return kind, (x, y, x2, y2), (*cross, (ux * vx + uy * vy)[hit] == 0)
 
 
 def segment_pair(s, r):
     """Classify the intersection of two segments given as ``(x0, y0, x1, y1)``
-    integer tuples: ``_classify``'s tagged tuple, or None when disjoint.
-    Raises on zero-length input.
+    integer tuples, as one row of ``_meet`` on object columns: None when
+    disjoint, else ("shared", x, y) | ("touch", x, y) | ("proper", xn, yn,
+    den) with the crossing at (xn/den, yn/den), den > 0 | ("overlap", x1,
+    y1, x2, y2). Raises on zero-length input.
     """
     if s[:2] == s[2:] or r[:2] == r[2:]:
         raise ValueError("zero-length segment")
-    return _classify(*s, *r)
+    kind, ends, cross = _meet(*(np.array([v], dtype=object) for v in (*s, *r)))
+    tag = str(kind[0])
+    if not tag:
+        return None
+    if tag == "proper":
+        return (tag, *(c.tolist()[0] for c in cross[:3]))
+    return (tag, *(c[0] for c in ends[: 4 if tag == "overlap" else 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +220,9 @@ class _Table:
 
     Segment i is class i % 7 + 1 (``classes``) of edge i // 7, has slope
     family ``family[i]`` (``_ZERO`` if zero-length) and runs from (AX[i],
-    AY[i]) to (BX[i], BY[i]) in ``coords``, NumPy columns of ``dtype``, the
-    dtype of every product; no Python-list copy is kept, and the scalar
-    path reads ints out of these arrays for just the pairs it classifies.
+    AY[i]) to (BX[i], BY[i]), the rows of ``coords``, a NumPy array of
+    ``dtype``, the dtype of every product; a chunk of pairs takes its
+    columns from it with one index per side.
     ``groups`` holds the four slope families, each sorted for the sweep and
     holding its members' spans on x, y, p and q, where p = x*l^3 + y and
     q = x - y*l^3, in quarter units of ``span_dtype``: the table slices
@@ -234,8 +241,8 @@ class _Table:
         )
         self.span_dtype = np.int64 if big * (l3 + 1) < 1 << 61 else object
         lines = d.polylines().astype(self.span_dtype, copy=False)
-        AX, AY = (np.ascontiguousarray(lines[:, :7, c]).reshape(-1) for c in (0, 1))
-        BX, BY = (np.ascontiguousarray(lines[:, 1:, c]).reshape(-1) for c in (0, 1))
+        coords = np.stack([p[..., c] for p in (lines[:, :7], lines[:, 1:]) for c in (0, 1)])
+        AX, AY, BX, BY = coords = coords.reshape(4, -1)
         ends = ((AX, BX), (AY, BY), (AX * l3 + AY, BX * l3 + BY), (AX - AY * l3, BX - BY * l3))
         spans = []
         for a, b in ends:
@@ -243,7 +250,7 @@ class _Table:
             # Quarter units: the open interior, or a constant value widened.
             side = np.where(lo < hi, 1, -1)
             spans.append((4 * lo + side, 4 * hi - side))
-        AX, AY, BX, BY = self.coords = tuple(c.astype(dtype, copy=False) for c in (AX, AY, BX, BY))
+        AX, AY, BX, BY = self.coords = coords.astype(dtype, copy=False)
         self.classes = np.arange(len(AX)) % 7 + 1
         ux, uy = BX - AX, BY - AY
         fam = np.full(len(AX), _VAR, dtype=np.int64)
@@ -337,13 +344,13 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
 
 
 # ---------------------------------------------------------------------------
-# Exact scalar classification (shared by both modes)
+# Exact classification of segment pairs (shared by both modes)
 # ---------------------------------------------------------------------------
 
 
 def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects: list) -> None:
-    """Classify the segment pairs (i[k], j[k]) exactly with ``_classify``, in
-    Python ints read from the table's columns with one ``tolist`` each.
+    """Classify the segment pairs (i[k], j[k]) exactly with one ``_meet``
+    on the table's columns.
 
     Touches and collinear overlaps are reported. The proper crossings are
     appended to ``found`` as one chunk of columns (segment_a, segment_b,
@@ -353,30 +360,17 @@ def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects:
     segments); every illegal case is a point coincidence among tagged
     vertex/bend points, which the coincidence scan reports.
     """
-    # map hands the eight columns straight to _classify and compress picks
-    # out the pairs that meet, both without a Python-level loop per pair.
-    left, right = ([col[k].tolist() for col in t.coords] for k in (i, j))
-    results = list(map(_classify, *left, *right))
-    hits = list(compress(range(len(results)), results))
-    proper = []
-    for k, a, b in zip(hits, i[hits].tolist(), j[hits].tolist()):
-        res = results[k]
-        if res[0] == "shared":
-            continue
-        if res[0] == "proper":
-            proper.append((a, b, *res[1:]))
-            continue
-        touch = res[0] == "touch"
-        kind = DefectKind.ENDPOINT_TOUCHES_INTERIOR if touch else DefectKind.COLLINEAR_OVERLAP
-        points = tuple(format_point(*res[n : n + 2]) for n in range(1, len(res), 2))
-        defects.append(Defect(kind, _pair_labels(t, a, b), points))
-    if not proper:
+    kind, ends, (xn, yn, den, perp) = _meet(*t.coords[:, i], *t.coords[:, j])
+    bad = np.flatnonzero((kind == "touch") | (kind == "overlap"))
+    for tag, a, b, *xy in zip(*(c[bad].tolist() for c in (kind, i, j, *ends))):
+        touch = tag == "touch"
+        defect = DefectKind.ENDPOINT_TOUCHES_INTERIOR if touch else DefectKind.COLLINEAR_OVERLAP
+        points = (format_point(*xy[:2]),) + (() if touch else (format_point(*xy[2:]),))
+        defects.append(Defect(defect, _pair_labels(t, a, b), points))
+    hit = np.flatnonzero(kind == "proper")
+    if not len(hit):
         return
-    a, b, xn, yn, den = (int_column(c) for c in zip(*proper))
-    # Exact on the table's dtype, which bounds 8 * max_abs**2.
-    AX, AY, BX, BY = t.coords
-    dot = (BX[a] - AX[a]) * (BX[b] - AX[b]) + (BY[a] - AY[a]) * (BY[b] - AY[b])
-    perp = dot == 0
+    a, b = i[hit], j[hit]
     found.append((a, b, xn, yn, den, perp))
     allowed = _ALLOWED[t.classes[a], t.classes[b]]
     bad = np.flatnonzero(~perp | ~allowed)
@@ -559,7 +553,7 @@ def _family_pair_candidates(
     overlap on each projection where both vary, and each constant value
     lies in the other's span), less the pairs of segments that end at one
     vertex and leave it in different directions. Any other pair meets, if
-    at all, at an endpoint of both, which ``_classify`` calls shared."""
+    at all, at an endpoint of both, which ``_meet`` calls shared."""
     for fa, fb in pairs:
         a = groups[fa]
         b = None if fa == fb else groups[fb]
@@ -706,7 +700,7 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
     the pairs that cross strictly inside both at an allowed class pair:
     a right-angle crossing at x = (p*l^3 + q)/(l^6 + 1),
     y = (p - q*l^3)/(l^6 + 1). ``rest`` marks those that are neither clean
-    nor a shared endpoint; the exact scalar classifier reports them.
+    nor a shared endpoint; ``_finish_pairs`` reports them.
     """
     pos, neg = t.groups[_POS], t.groups[_NEG]
     (p_lo, p_hi), (q, _), (p, _), (q_lo, q_hi) = _raw_spans(pos, neg)
@@ -720,9 +714,9 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
 
 def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
     """Sweep every family pair but POS x NEG, count POS x NEG, and return
-    the counted crossings per class pair. The swept pairs go to the scalar
-    classifier; the POS x NEG pairs are enumerated for it only when a count
-    that must be zero is not.
+    the counted crossings per class pair. The swept pairs go to
+    ``_finish_pairs``; the POS x NEG pairs are enumerated for it only when a
+    count that must be zero is not.
     """
     for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
         _finish_pairs(t, ia, jb, found, defects)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import pair_payload, random_graph
@@ -19,6 +20,7 @@ from racdraw import (
     validate,
     vertex_slot,
 )
+from racdraw.validator import _meet
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,59 @@ def nonzero_segment(draw):
 @settings(max_examples=800, deadline=None)
 def test_segment_pair_matches_fraction_oracle(s1, s2):
     assert pair_payload(segment_pair(s1, s2)) == oracle_classify(s1, s2)
+
+
+def _pairs_of_every_kind(rng: random.Random, count: int) -> list[tuple]:
+    """``count`` segment pairs in [-40, 40]: random ones, and ones built
+    against a first segment (a, a + k*w), a in [-20, 20], w in [-4, 4]^2:
+    a parallel one (e, e + w), e in [-20, 20]; a collinear one (a + i*w,
+    a + j*w), i, j in [-1, 5]; one from its end; and one from a lattice
+    point inside it."""
+
+    def point(r):
+        return rng.randint(-r, r), rng.randint(-r, r)
+
+    def step(p, n):
+        return p[0] + n * w[0], p[1] + n * w[1]
+
+    pairs = []
+    while len(pairs) < count:
+        a, e, w, c = point(20), point(20), point(4), point(40)
+        k, i, j = rng.randint(2, 5), rng.randint(-1, 5), rng.randint(-1, 5)
+        b = step(a, k)
+        for p in (
+            (point(40), point(40), point(40), c),
+            (a, b, e, step(e, 1)),
+            (a, b, step(a, i), step(a, j)),
+            (a, b, b, c),
+            (a, b, step(a, rng.randint(1, k - 1)), c),
+        ):
+            if p[0] != p[1] and p[2] != p[3]:
+                pairs.append(((*p[0], *p[1]), (*p[2], *p[3])))
+    return pairs[:count]
+
+
+def test_meet_columns_match_fraction_oracle():
+    # One _meet call on int64 columns, every kind of meet side by side.
+    pairs = _pairs_of_every_kind(random.Random(1), 3000)
+    columns = np.array([(*s1, *s2) for s1, s2 in pairs], dtype=np.int64).T
+    kind, ends, cross = _meet(*columns)
+    crossings = iter(zip(*(c.tolist() for c in cross[:3])))
+    seen = set()
+    for (s1, s2), tag, *where in zip(pairs, kind.tolist(), *(c.tolist() for c in ends)):
+        if tag == "proper":
+            row = (tag, *next(crossings))
+        elif tag:
+            row = (tag, *where[: 4 if tag == "overlap" else 2])
+        else:
+            row = None
+        assert pair_payload(row) == oracle_classify(s1, s2), (s1, s2, row)
+        parallel = (s1[2] - s1[0]) * (s2[3] - s2[1]) == (s1[3] - s1[1]) * (s2[2] - s2[0])
+        seen.add((tag, parallel))
+    assert next(crossings, None) is None
+    # Every kind, and both disjoint and shared ones parallel or not.
+    oblique = {(tag, False) for tag in ("", "shared", "touch", "proper")}
+    assert seen == oblique | {("", True), ("shared", True), ("overlap", True)}
 
 
 @given(st.integers(min_value=1, max_value=700))

@@ -786,14 +786,15 @@ class TestCountFirst:
         d = _transform(d, rotate=rotate)
         t = _Table(d)
         strict, surplus = validator._count_pos_neg(t)
-        segments = [(*a, *b) for pts in d.polylines().tolist() for a, b in zip(pts, pts[1:])]
-        want, touches = np.zeros((8, 8), dtype=np.int64), 0
-        for i in t.groups[validator._POS].idx.tolist():
-            for j in t.groups[validator._NEG].idx.tolist():
-                res = segment_pair(segments[i], segments[j])
-                if res is not None and res[0] == "proper":
-                    want[i % 7 + 1, j % 7 + 1] += 1
-                touches += res is not None and res[0] == "touch"
+        # Every POS x NEG pair, classified in one call.
+        lines = d.polylines()
+        a, b = lines[:, :7].reshape(-1, 2), lines[:, 1:].reshape(-1, 2)
+        pos, neg = t.groups[validator._POS].idx, t.groups[validator._NEG].idx
+        i, j = np.repeat(pos, len(neg)), np.tile(neg, len(pos))
+        kind, _, _ = validator._meet(*a[i].T, *b[i].T, *a[j].T, *b[j].T)
+        want, proper = np.zeros((8, 8), dtype=np.int64), kind == "proper"
+        np.add.at(want, (i[proper] % 7 + 1, j[proper] % 7 + 1), 1)
+        touches = int((kind == "touch").sum())
         assert np.array_equal(strict, want)
         assert surplus == touches
         assert (touches > 0) == (name != "clean")
@@ -1116,7 +1117,7 @@ class TestMagnitudeRegimes:
     }
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    @pytest.mark.parametrize("bits", [0, 20, 70])
+    @pytest.mark.parametrize("bits", [0, 20, 29, 70])
     def test_corruptions_flagged_at_every_magnitude(self, k16, bits, name):
         expected, moves = self.CORRUPTIONS[name]
         bad = k16
