@@ -21,13 +21,12 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
-from operator import truediv
 
 import numpy as np
 
 from .layout import vertex_slot
 from .model import CrossingReport, Drawing, digit_matrix, json_rows
-from .validator import bounding_box
+from .validator import _check_report, bounding_box
 
 # One stroke color per segment class S1..S7.
 CLASS_COLORS = (
@@ -85,6 +84,18 @@ def _hundredths(col: np.ndarray) -> np.ndarray:
     return np.concatenate((sign, digit_matrix(q // 100), tail), axis=1)
 
 
+def _quotients(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """float(Fraction(num[k], den[k])) per row, den > 0. Dividing exact
+    operands rounds once: in float64 where both columns are int64 below
+    2**53, as Python ints elsewhere; so they need not be in lowest terms."""
+    if all(
+        c.dtype == np.int64 and -(2**53) < c.min(initial=0) and c.max(initial=0) < 2**53
+        for c in (num, den)
+    ):
+        return num / den.astype(np.float64)
+    return (num.astype(object) / den).astype(np.float64)
+
+
 def _group(attrs: str, n: int, pieces: tuple) -> Iterable[bytes | bytearray]:
     """The chunks of a ``<g>`` element of n rows of ``json_rows``, one
     child element a row, closing itself when it has none."""
@@ -109,6 +120,8 @@ def _svg(d: Drawing, options: SvgOptions) -> Iterator[bytes | bytearray]:
     """``render_svg``'s bytes as chunks. Whatever can refuse the render is
     checked before this returns; rows are spelled as the chunks are taken."""
     xmin, xmax, ymin, ymax = bounding_box(d)
+    if options.crossing_report is not None:
+        _check_report(d, options.crossing_report)
     scale = float(options.scale)
     width = (xmax - xmin) * scale + 2 * _MARGIN
     height = (ymax - ymin) * scale + 2 * _MARGIN
@@ -163,10 +176,8 @@ def _svg(d: Drawing, options: SvgOptions) -> Iterator[bytes | bytearray]:
     parts.append(_group('class="vertices" fill="#000000"', d.n, tuple(dots)))
 
     if options.crossing_report is not None:
-        # x / q is float(Fraction(x, q)): true division of ints rounds once,
-        # so the sorted columns need not be in lowest terms.
-        xn, yn, q = (c.tolist() for c in options.crossing_report.columns()[4:7])
-        cx, cy = place(*(np.fromiter(map(truediv, v, q), float, len(q)) for v in (xn, yn)))
+        xn, yn, q = options.crossing_report.columns()[4:7]
+        cx, cy = place(_quotients(xn, q), _quotients(yn, q))
         markers = (b'<circle cx="', (_hundredths, cx), b'" cy="', (_hundredths, cy))
         attrs = 'class="crossings" fill="none" stroke="#d01c8b" stroke-width="0.8"'
         marker_radius = b'" r="%.2f" />' % max(1.2, scale * 0.6)

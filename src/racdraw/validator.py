@@ -3,19 +3,22 @@
 The validator never trusts the layout engine: it classifies every segment
 pair that meets with exact integer arithmetic (a crossing point is a
 numerator pair over a positive denominator), and reports crossings and
-defects as data. Two modes exist:
+defects as data. Both modes run one loop: a stream of segment-pair
+chunks, each classified exactly and tallied, as it is classified, into
+one grid of crossings per class pair. The modes differ in the stream:
 
-* ``BRUTE_FORCE``: a plain O(P^2) scan over all segment pairs, classified
-  in chunks, recording every crossing; the anchor for what is enumerated.
-* ``FILTERED``: visits only pairs that can meet at a point interior to one
-  of them, found by a sorted-span sweep (below), and classifies them with
-  the brute scan's own exact code; the one family pair that crosses in a
-  valid drawing is counted, not visited. Segments of one exact slope
-  family can only overlap, never cross. Family membership is decided by
-  each segment's actual direction, not by its class label, so corrupted
-  inputs cannot defeat the filter.
+* ``BRUTE_FORCE``: every pair of segments of nonzero length, in chunks;
+  the anchor for what is enumerated.
+* ``FILTERED``: only the pairs that can meet at a point interior to one
+  of them, found by a sorted-span sweep (below). The one family pair that
+  crosses in a valid drawing, POS x NEG, is counted into the same grid,
+  not visited; its pairs join the stream only when a count shows a
+  defect. Segments of one exact slope family can only overlap, never
+  cross. Family membership is decided by each segment's actual
+  direction, not by its class label, so corrupted inputs cannot defeat
+  the filter.
 
-One classifier, ``_meet``, decides every pair either mode visits, on
+One classifier, ``_meet``, decides every pair the stream holds, on
 columns of the table's product dtype; its arithmetic is checked row by row
 against an independent Fraction oracle in the tests. Both modes must
 produce byte-identical reports. The report holds the
@@ -76,6 +79,7 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -348,17 +352,17 @@ def _scan_vertex_piercings(t: _Table, d: Drawing, defects: list[Defect]) -> None
 # ---------------------------------------------------------------------------
 
 
-def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects: list) -> None:
+def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, defects: list) -> tuple | None:
     """Classify the segment pairs (i[k], j[k]) exactly with one ``_meet``
     on the table's columns.
 
     Touches and collinear overlaps are reported. The proper crossings are
-    appended to ``found`` as one chunk of columns (segment_a, segment_b,
-    x_num, y_num, den, perp), den > 0, and each one that is not a right
-    angle or not an allowed class pair is reported too. A shared endpoint
-    is legal where construction forces it (common vertex, consecutive
-    segments); every illegal case is a point coincidence among tagged
-    vertex/bend points, which the coincidence scan reports.
+    returned as one chunk of columns (segment_a, segment_b, x_num, y_num,
+    den, perp), den > 0, or None where there are none, and each one that
+    is not a right angle or not an allowed class pair is reported too. A
+    shared endpoint is legal where construction forces it (common vertex,
+    consecutive segments); every illegal case is a point coincidence among
+    tagged vertex/bend points, which the coincidence scan reports.
     """
     kind, ends, (xn, yn, den, perp) = _meet(*t.coords[:, i], *t.coords[:, j])
     bad = np.flatnonzero((kind == "touch") | (kind == "overlap"))
@@ -369,9 +373,8 @@ def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects:
         defects.append(Defect(defect, _pair_labels(t, a, b), points))
     hit = np.flatnonzero(kind == "proper")
     if not len(hit):
-        return
+        return None
     a, b = i[hit], j[hit]
-    found.append((a, b, xn, yn, den, perp))
     allowed = _ALLOWED[t.classes[a], t.classes[b]]
     bad = np.flatnonzero(~perp | ~allowed)
     for k, x, y in zip(
@@ -382,6 +385,7 @@ def _finish_pairs(t: _Table, i: np.ndarray, j: np.ndarray, found: list, defects:
             defects.append(Defect(DefectKind.NON_PERPENDICULAR_CROSSING, labels, loc))
         if not allowed[k]:
             defects.append(Defect(DefectKind.DISALLOWED_CLASS_PAIR, labels, loc))
+    return a, b, xn, yn, den, perp
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +549,19 @@ def _span_pairs(a: _Group, b: _Group | None) -> Iterator[tuple[np.ndarray, np.nd
                 yield ia, ib
 
 
-def _family_pair_candidates(
-    groups: list, pairs: tuple
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (fa, fb, i, j): segment index chunks from families fa and fb
-    that can meet at a point interior to one of them (their open interiors
-    overlap on each projection where both vary, and each constant value
-    lies in the other's span), less the pairs of segments that end at one
-    vertex and leave it in different directions. Any other pair meets, if
-    at all, at an endpoint of both, which ``_meet`` calls shared."""
-    for fa, fb in pairs:
-        a = groups[fa]
-        b = None if fa == fb else groups[fb]
-        for ia, ib in _span_pairs(a, b):
-            yield fa, fb, a.idx[ia], (a if b is None else b).idx[ib]
+def _pairs(t: _Table, mode: ValidationMode) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the segment index chunks (i, j) that ``mode`` classifies: every
+    pair of segments of nonzero length in brute mode, the upper triangle in
+    chunks; filtered, the ``_span_pairs`` of each family pair but POS x NEG:
+    every pair that can meet other than at an endpoint of both."""
+    if mode is ValidationMode.BRUTE_FORCE:
+        act = np.flatnonzero(t.family != _ZERO)
+        yield from _expand(act, np.arange(1, len(act) + 1), np.full(len(act), len(act)), act)
+        return
+    for fa, fb in _SWEPT_PAIRS:
+        a, b = t.groups[fa], t.groups[fb]
+        for ia, ib in _span_pairs(a, None if fa == fb else b):
+            yield a.idx[ia], b.idx[ib]
 
 
 # ---------------------------------------------------------------------------
@@ -712,40 +715,6 @@ def _pos_neg_pairs(t: _Table) -> Iterator[tuple[np.ndarray, ...]]:
         yield i, j, p_j, q_i, clean, ~clean & ~(p_end & q_end)
 
 
-def _run_filtered(t: _Table, found: list, defects: list) -> np.ndarray:
-    """Sweep every family pair but POS x NEG, count POS x NEG, and return
-    the counted crossings per class pair. The swept pairs go to
-    ``_finish_pairs``; the POS x NEG pairs are enumerated for it only when a
-    count that must be zero is not.
-    """
-    for _, _, ia, jb in _family_pair_candidates(t.groups, _SWEPT_PAIRS):
-        _finish_pairs(t, ia, jb, found, defects)
-    strict, surplus = _count_pos_neg(t)
-    if surplus or strict[~_ALLOWED].any():
-        for i, j, _, _, _, rest in _pos_neg_pairs(t):
-            _finish_pairs(t, i[rest], j[rest], found, defects)
-    return np.where(_ALLOWED, strict, 0)
-
-
-def _run_brute(t: _Table, found: list, defects: list) -> None:
-    """Classify every pair of segments of nonzero length, the upper triangle
-    in chunks of at most ``_CANDIDATE_CHUNK`` pairs."""
-    act = np.flatnonzero(t.family != _ZERO)
-    stop = np.full(len(act), len(act))
-    for i, j in _expand(act, np.arange(1, len(act) + 1), stop, act):
-        _finish_pairs(t, i, j, found, defects)
-
-
-def _pair_counts(counted: np.ndarray, found: list) -> dict[str, int]:
-    """Crossings per class pair, keyed "SaxSb" with a <= b: the ``counted``
-    grid, indexed [class_a, class_b], plus the chunks in ``found``."""
-    grid = counted.copy()
-    for i, j, *_ in found:
-        np.add.at(grid, (i % 7 + 1, j % 7 + 1), 1)
-    grid = np.triu(grid) + np.tril(grid, -1).T
-    return {f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))}
-
-
 # The crossing columns of no crossing; every listing starts from it.
 _NO_CROSSINGS = (*(np.zeros(0, dtype=np.int64),) * 5, np.zeros(0, dtype=bool))
 
@@ -787,6 +756,15 @@ def bounding_box(d: Drawing) -> tuple[int, int, int, int]:
     return (lo[0], hi[0], lo[1], hi[1])
 
 
+def _check_report(d: Drawing, report: CrossingReport) -> CrossingReport:
+    """Return ``report``, or raise ValueError where its n, m or bounding box
+    differ from ``d``'s. Equal figures do not prove that the report is
+    ``d``'s own: a report of another drawing of that size and box passes."""
+    if (report.n, report.m, report.bbox) != (d.n, d.m, bounding_box(d)):
+        raise ValueError(f"a report of another drawing (n={report.n}, m={report.m})")
+    return report
+
+
 def validate(
     d: Drawing, mode: ValidationMode = ValidationMode.FILTERED
 ) -> CrossingReport:
@@ -799,23 +777,30 @@ def validate(
     certifier's table.
     """
     t = _Table(d)
-    found: list = []
     defects: list[Defect] = []
     _scan_zero_length(t, defects)
     _scan_coincident_points(d, defects)
     _scan_vertex_piercings(t, d, defects)
-    if mode is ValidationMode.BRUTE_FORCE:
-        _run_brute(t, found, defects)
-        counted, listed = np.zeros((8, 8), dtype=np.int64), None
-    else:
-        counted, listed = _run_filtered(t, found, defects), d
+    # Crossings per [class_a, class_b]: POS x NEG counted, the rest tallied.
+    grid, pairs, listed = np.zeros((8, 8), dtype=np.int64), _pairs(t, mode), None
+    if mode is ValidationMode.FILTERED:
+        strict, surplus = _count_pos_neg(t)
+        grid, listed = np.where(_ALLOWED, strict, 0), d
+        if surplus or strict[~_ALLOWED].any():
+            pairs = chain(pairs, ((i[r], j[r]) for i, j, *_, r in _pos_neg_pairs(t)))
+    found = []
+    for i, j in pairs:
+        if (cross := _finish_pairs(t, i, j, defects)) is not None:
+            found.append(cross)
+            np.add.at(grid, (t.classes[cross[0]], t.classes[cross[1]]), 1)
     defects.sort(key=Defect.sort_key)
+    grid = np.triu(grid) + np.tril(grid, -1).T
     return CrossingReport(
         n=d.n,
         m=d.m,
         violations=tuple(defects),
         bbox=t.bbox,
-        pair_counts=_pair_counts(counted, found),
+        pair_counts={f"S{a}xS{b}": int(grid[a, b]) for a, b in zip(*np.nonzero(grid))},
         crossings=partial(_crossing_columns, listed, found),
     )
 
@@ -865,9 +850,9 @@ def _area_ratio(area: int, n: int) -> str:
 
 
 def stats(d: Drawing, report: CrossingReport | None = None) -> StatsReport:
-    """Compute the drawing's headline numbers, validating if needed."""
-    if report is None:
-        report = validate(d)
+    """Compute the drawing's headline numbers, validating if needed. Raises
+    ValueError where a given report is not of ``d`` (``_check_report``)."""
+    report = validate(d) if report is None else _check_report(d, report)
     xmin, xmax, ymin, ymax = report.bbox
     width, height = xmax - xmin, ymax - ymin
     return StatsReport(

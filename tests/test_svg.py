@@ -1,12 +1,13 @@
 import hashlib
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import racdraw.model
-from racdraw import SvgOptions, draw_complete, render_svg, validate
-from racdraw.svg import _hundredths
+from racdraw import Drawing, SvgOptions, draw_complete, render_svg, validate
+from racdraw.svg import _hundredths, _quotients
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -40,6 +41,34 @@ def test_crossing_markers_match_report(k16, k16_filtered):
     root = _parse(svg)
     markers = root.findall(f".//{SVG_NS}g[@class='crossings']/{SVG_NS}circle")
     assert len(markers) == report.crossing_count
+
+
+def test_markers_of_another_drawing_are_refused(k16_filtered):
+    report, _ = k16_filtered
+    with pytest.raises(ValueError, match="another drawing"):
+        render_svg(draw_complete(5), SvgOptions(crossing_report=report))
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 62], ids=["int64", "object"])
+def test_marker_coordinates_are_exact_quotients(k16, offset):
+    # K16's crossing columns are int64 below 2**53, divided in float64; moved
+    # by 2**62 they are object columns, divided as Python ints.
+    vertices, bends = (a.astype(object) + offset for a in (k16.vertices, k16.bends))
+    d = Drawing(vertices, k16.endpoints, bends)
+    xn, yn, den = validate(d).columns()[4:7]
+    assert {c.dtype for c in (xn, yn, den)} == {np.dtype(object if offset else np.int64)}
+    for num in (xn, yn):
+        want = [float(Fraction(a, b)) for a, b in zip(num.tolist(), den.tolist())]
+        assert _quotients(num, den).tolist() == want
+
+
+def test_quotients_of_int64_beyond_2_53_are_exact():
+    # float64(2**53 + 1) is 2**53, so dividing in float64 would be off here.
+    num = np.array([2**53 + 1, -(2**53) - 1, 2**53 - 1, 2**62], dtype=np.int64)
+    den = np.array([3, 3, 7, 5], dtype=np.int64)
+    want = [float(Fraction(a, b)) for a, b in zip(num.tolist(), den.tolist())]
+    assert _quotients(num, den).tolist() == want
+    assert _quotients(num[2:3], den[2:3]).tolist() == want[2:3]
 
 
 def test_vertex_dots_and_labels(k16):

@@ -329,6 +329,13 @@ class TestStats:
         assert s.area_ratio == "23.3799"
         assert float(s.area_ratio) == pytest.approx(47882 / 16**2.75, abs=5e-5)
 
+    def test_report_of_another_drawing_is_refused(self, k16, k16_filtered):
+        # Another n and m, or the same n and m in another bounding box.
+        report, _ = k16_filtered
+        for d in (draw_complete(5), _transform(k16, 1, 0)):
+            with pytest.raises(ValueError, match="another drawing"):
+                stats(d, report)
+
     def test_two_vertices(self):
         d = draw_complete(2)
         s = stats(d, report=validate(d, BRUTE))
@@ -415,6 +422,15 @@ def _own_stars(t):
     return t.groups
 
 
+def _family_pairs(groups, pairs):
+    """Yield (fa, fb, i, j): the segment index chunks ``_span_pairs`` lists
+    for each family pair (fa, fb) of ``pairs`` over ``groups``."""
+    for fa, fb in pairs:
+        a, b = groups[fa], groups[fb]
+        for ia, ib in validator._span_pairs(a, None if fa == fb else b):
+            yield fa, fb, a.idx[ia], b.idx[ib]
+
+
 def _candidates(d):
     """(kind, segment_i, segment_j) for every pair the sorted-span sweep
     lists over ``_own_stars`` groups, POS x NEG included.
@@ -424,9 +440,7 @@ def _candidates(d):
     s // 7.
     """
     out = []
-    for fa, fb, ia, jb in validator._family_pair_candidates(
-        _own_stars(_Table(d)), validator._FAMILY_PAIRS
-    ):
+    for fa, fb, ia, jb in _family_pairs(_own_stars(_Table(d)), validator._FAMILY_PAIRS):
         kind = "collinear" if fa == fb != validator._VAR else "crossing"
         out.extend((kind, i, j) for i, j in zip(ia.tolist(), jb.tolist()))
     return out
@@ -510,9 +524,7 @@ class TestFilteredPairStream:
         for d in [k16, *_c6_drawings()]:
             got = [
                 (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
-                for fa, fb, ia, jb in validator._family_pair_candidates(
-                    _own_stars(_Table(d)), validator._FAMILY_PAIRS
-                )
+                for fa, fb, ia, jb in _family_pairs(_own_stars(_Table(d)), validator._FAMILY_PAIRS)
                 for i, j in zip(ia.tolist(), jb.tolist())
             ]
             assert len(got) == len(set(got))
@@ -538,9 +550,7 @@ class TestFilteredPairStream:
                     monkeypatch.setattr(validator, "_plan", lambda a, b, counts: plan)
                     got = [
                         (fa, fb, *((min(i, j), max(i, j)) if fa == fb else (i, j)))
-                        for fa, fb, ia, jb in validator._family_pair_candidates(
-                            groups, validator._FAMILY_PAIRS
-                        )
+                        for fa, fb, ia, jb in _family_pairs(groups, validator._FAMILY_PAIRS)
                         for i, j in zip(ia.tolist(), jb.tolist())
                     ]
                     assert len(got) == len(set(got))
@@ -626,6 +636,42 @@ class TestFilteredPairStream:
                 assert got.to_json_bytes() == report.to_json_bytes()
 
 
+class TestOneLoop:
+    # Both modes hand every pair they classify to ``_finish_pairs`` in one
+    # loop. On K16 the filtered verdict classifies 40 pairs and counts the
+    # 7,760 POS x NEG crossings; brute mode classifies all 352,380 pairs.
+
+    @staticmethod
+    def _handed(d, mode, monkeypatch):
+        handed, finish = [], validator._finish_pairs
+
+        def spy(t, i, j, defects):
+            handed.extend(zip(i.tolist(), j.tolist()))
+            return finish(t, i, j, defects)
+
+        monkeypatch.setattr(validator, "_finish_pairs", spy)
+        return validate(d, mode), handed
+
+    def test_filtered_classifies_40_pairs_and_counts_pos_neg(self, k16, monkeypatch):
+        enumerated = []
+        pos_neg_pairs = validator._pos_neg_pairs
+        monkeypatch.setattr(
+            validator, "_pos_neg_pairs", lambda t: enumerated.append(t) or pos_neg_pairs(t)
+        )
+        report, handed = self._handed(k16, FILTERED, monkeypatch)
+        assert len(handed) == len(set(handed)) == 40
+        family = _Table(k16).family
+        pos_neg = {validator._POS, validator._NEG}
+        assert not any({family[i], family[j]} == pos_neg for i, j in handed)
+        assert enumerated == []
+        assert report.crossing_count == 7760 and report.ok
+
+    def test_brute_classifies_every_pair(self, k16, monkeypatch):
+        report, handed = self._handed(k16, BRUTE, monkeypatch)
+        assert len({(min(p), max(p)) for p in handed}) == len(handed) == 840 * 839 // 2
+        assert report.crossing_count == 7760 and report.ok
+
+
 class TestSweepAnatomy:
     # Pairs that can meet at a point interior to one of them, per swept
     # family pair of the 81-vertex complete drawing, shared-vertex pairs
@@ -645,9 +691,7 @@ class TestSweepAnatomy:
 
     def test_k81_survivors_per_family_pair(self, k81):
         got = dict.fromkeys(validator._SWEPT_PAIRS, 0)
-        for fa, fb, i, _ in validator._family_pair_candidates(
-            _own_stars(_Table(k81)), validator._SWEPT_PAIRS
-        ):
+        for fa, fb, i, _ in _family_pairs(_own_stars(_Table(k81)), validator._SWEPT_PAIRS):
             got[fa, fb] += len(i)
         assert got == self.K81
 
@@ -665,9 +709,7 @@ class TestSweepAnatomy:
             monkeypatch.setattr(validator, "_plan", lambda a, b, counts: forced)
         pairs = [
             (i, j)
-            for _, _, ia, jb in validator._family_pair_candidates(
-                _Table(k81).groups, ((self.VAR, self.VAR),)
-            )
+            for _, _, ia, jb in _family_pairs(_Table(k81).groups, ((self.VAR, self.VAR),))
             for i, j in zip(ia.tolist(), jb.tolist())
         ]
         assert len(pairs) == len({(min(p), max(p)) for p in pairs}) == 220
