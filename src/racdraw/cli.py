@@ -113,11 +113,10 @@ def cmd_stats(args) -> int:
 
 def cmd_svg(args) -> int:
     drawing = loads_drawing(_read_bytes(args.file))
-    report = validate(drawing) if args.mark_crossings else None
     options = SvgOptions(
         scale=args.scale,
         color_classes=args.color_classes,
-        crossing_report=report,
+        mark_crossings=args.mark_crossings,
         vertex_labels=not args.no_labels,
     )
     _write_bytes(args.out, _svg(drawing, options))

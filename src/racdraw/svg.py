@@ -8,8 +8,8 @@ top-to-bottom reading.
 
 Every element is one row of ``json_rows``, as every row of the drawing
 document and the report is, written straight from the drawing's arrays
-and the report's columns: integer columns are spelled by
-``digit_matrix``, coordinates by ``_hundredths``, exactly as ``'%.2f'``
+and the crossing columns of ``validate(d)``: integer columns are spelled
+by ``digit_matrix``, coordinates by ``_hundredths``, exactly as ``'%.2f'``
 spells them. No element is a Python string and no XML tree is built:
 ``_svg`` yields the document's chunks as they are spelled, for the CLI to
 write, and ``render_svg`` joins them.
@@ -18,6 +18,7 @@ write, and ``render_svg`` joins them.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -25,8 +26,8 @@ from itertools import chain
 import numpy as np
 
 from .layout import vertex_slot
-from .model import CrossingReport, Drawing, digit_matrix, json_rows
-from .validator import _check_report, bounding_box
+from .model import Drawing, digit_matrix, json_rows
+from .validator import bounding_box, validate
 
 # One stroke color per segment class S1..S7.
 CLASS_COLORS = (
@@ -46,11 +47,11 @@ _MARGIN = 20.0
 
 @dataclass(frozen=True)
 class SvgOptions:
-    """Rendering knobs: geometry scale, class coloring, crossing markers."""
+    """Rendering knobs: scale, class coloring, markers at ``validate(d)``'s crossings."""
 
     scale: float = 1.0
     color_classes: bool = False
-    crossing_report: CrossingReport | None = None
+    mark_crossings: bool = False
     vertex_labels: bool = True
 
     def __post_init__(self) -> None:
@@ -110,8 +111,8 @@ def render_svg(d: Drawing, options: SvgOptions = SvgOptions()) -> str:
     Attributes are in a fixed order and childless elements are written as
     ``<name ... />``. Every attribute value is a formatted number or a
     fixed name, and every text is a generated vertex label, so nothing
-    needs escaping. Raises ValueError when the scale puts the width, the
-    height or a coordinate beyond the float range.
+    needs escaping. Raises ValueError when the drawing's extent or the
+    scale puts the width, the height or a coordinate beyond the float range.
     """
     return b"".join(_svg(d, options)).decode("ascii")
 
@@ -120,8 +121,8 @@ def _svg(d: Drawing, options: SvgOptions) -> Iterator[bytes | bytearray]:
     """``render_svg``'s bytes as chunks. Whatever can refuse the render is
     checked before this returns; rows are spelled as the chunks are taken."""
     xmin, xmax, ymin, ymax = bounding_box(d)
-    if options.crossing_report is not None:
-        _check_report(d, options.crossing_report)
+    if max(map(abs, (xmin, xmax, ymin, ymax, xmax - xmin, ymax - ymin))) > sys.float_info.max:
+        raise ValueError("the drawing's extent is too large for the float range")
     scale = float(options.scale)
     width = (xmax - xmin) * scale + 2 * _MARGIN
     height = (ymax - ymin) * scale + 2 * _MARGIN
@@ -175,8 +176,8 @@ def _svg(d: Drawing, options: SvgOptions) -> Iterator[bytes | bytearray]:
         )
     parts.append(_group('class="vertices" fill="#000000"', d.n, tuple(dots)))
 
-    if options.crossing_report is not None:
-        xn, yn, q = options.crossing_report.columns()[4:7]
+    if options.mark_crossings:
+        xn, yn, q = validate(d).columns()[4:7]
         cx, cy = place(_quotients(xn, q), _quotients(yn, q))
         markers = (b'<circle cx="', (_hundredths, cx), b'" cy="', (_hundredths, cy))
         attrs = 'class="crossings" fill="none" stroke="#d01c8b" stroke-width="0.8"'

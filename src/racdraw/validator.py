@@ -756,15 +756,6 @@ def bounding_box(d: Drawing) -> tuple[int, int, int, int]:
     return (lo[0], hi[0], lo[1], hi[1])
 
 
-def _check_report(d: Drawing, report: CrossingReport) -> CrossingReport:
-    """Return ``report``, or raise ValueError where its n, m or bounding box
-    differ from ``d``'s. Equal figures do not prove that the report is
-    ``d``'s own: a report of another drawing of that size and box passes."""
-    if (report.n, report.m, report.bbox) != (d.n, d.m, bounding_box(d)):
-        raise ValueError(f"a report of another drawing (n={report.n}, m={report.m})")
-    return report
-
-
 def validate(
     d: Drawing, mode: ValidationMode = ValidationMode.FILTERED
 ) -> CrossingReport:
@@ -849,10 +840,9 @@ def _area_ratio(area: int, n: int) -> str:
     return f"{scaled // 10**4}.{scaled % 10**4:04d}"
 
 
-def stats(d: Drawing, report: CrossingReport | None = None) -> StatsReport:
-    """Compute the drawing's headline numbers, validating if needed. Raises
-    ValueError where a given report is not of ``d`` (``_check_report``)."""
-    report = validate(d) if report is None else _check_report(d, report)
+def stats(d: Drawing) -> StatsReport:
+    """The drawing's headline numbers, from its own ``validate(d)``."""
+    report = validate(d)
     xmin, xmax, ymin, ymax = report.bbox
     width, height = xmax - xmin, ymax - ymin
     return StatsReport(

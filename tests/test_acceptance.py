@@ -226,8 +226,7 @@ def test_criterion_8_construction_time(k81):
         assert max(per_ops) / min(per_ops) < 3.0
         start = perf_counter()
         d = draw_complete(81)
-        report = validate(d, FILTERED)
-        summary = stats(d, report=report)
+        summary = stats(d)
         svg_text = render_svg(d)
         elapsed = perf_counter() - start
         assert summary.violation_count == 0
@@ -235,7 +234,7 @@ def test_criterion_8_construction_time(k81):
         assert elapsed < 120.0, f"n=81 pipeline took {elapsed:.1f}s"
 
 
-def test_criterion_9_round_trips_and_figure(k16, k81, k16_filtered, tmp_path):
+def test_criterion_9_round_trips_and_figure(k16, k81, tmp_path):
     with criterion("C9 round trips, SVG well-formedness, figure structure"):
         assert loads_drawing(dumps_drawing(k16)) == k16
         assert dumps_drawing(k16) == dumps_drawing(draw_complete(16))
@@ -263,10 +262,7 @@ def test_criterion_9_round_trips_and_figure(k16, k81, k16_filtered, tmp_path):
         for source, a, b, *_ in k16.polylines().tolist():
             assert a[1] == source[1] + 1
             assert b[1] > a[1]
-        report, _ = k16_filtered
         out = tmp_path / "k16.svg"
-        out.write_text(
-            render_svg(k16, SvgOptions(color_classes=True, crossing_report=report))
-        )
+        out.write_text(render_svg(k16, SvgOptions(color_classes=True, mark_crossings=True)))
         ET.fromstring(out.read_text())
         print(f"figure written to {out}")

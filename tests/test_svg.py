@@ -37,16 +37,10 @@ def test_class_coloring_emits_line_per_segment(k16):
 
 def test_crossing_markers_match_report(k16, k16_filtered):
     report, _ = k16_filtered
-    svg = render_svg(k16, SvgOptions(crossing_report=report, vertex_labels=False))
+    svg = render_svg(k16, SvgOptions(mark_crossings=True, vertex_labels=False))
     root = _parse(svg)
     markers = root.findall(f".//{SVG_NS}g[@class='crossings']/{SVG_NS}circle")
     assert len(markers) == report.crossing_count
-
-
-def test_markers_of_another_drawing_are_refused(k16_filtered):
-    report, _ = k16_filtered
-    with pytest.raises(ValueError, match="another drawing"):
-        render_svg(draw_complete(5), SvgOptions(crossing_report=report))
 
 
 @pytest.mark.parametrize("offset", [0, 1 << 62], ids=["int64", "object"])
@@ -86,6 +80,17 @@ def test_scale_must_be_finite_and_positive(scale):
         SvgOptions(scale=scale)
 
 
+def test_extent_beyond_float_range_is_a_value_error():
+    # K5 with every x scaled by 10**400 certifies exactly, but its width
+    # has no float at any scale.
+    small = draw_complete(5)
+    vertices, bends = small.vertices.astype(object), small.bends.astype(object)
+    vertices[:, 0] *= 10**400
+    bends[..., 0] *= 10**400
+    with pytest.raises(ValueError, match="too large for the float range"):
+        render_svg(Drawing(vertices, small.endpoints, bends))
+
+
 def test_scale_changes_viewport(k16):
     small = _parse(render_svg(k16, SvgOptions(scale=1.0)))
     big = _parse(render_svg(k16, SvgOptions(scale=4.0)))
@@ -122,17 +127,16 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _k16_options(case, report):
-    return {
-        "default": SvgOptions(),
-        "color_classes": SvgOptions(color_classes=True),
-        "scaled_markers": SvgOptions(scale=3.0, vertex_labels=False, crossing_report=report),
-    }[case]
+K16_SVG_OPTIONS = {
+    "default": SvgOptions(),
+    "color_classes": SvgOptions(color_classes=True),
+    "scaled_markers": SvgOptions(scale=3.0, vertex_labels=False, mark_crossings=True),
+}
 
 
 @pytest.mark.parametrize("case", sorted(K16_SVG_DIGESTS))
-def test_k16_svg_digests_are_pinned(k16, k16_filtered, case):
-    text = render_svg(k16, _k16_options(case, k16_filtered[0]))
+def test_k16_svg_digests_are_pinned(k16, case):
+    text = render_svg(k16, K16_SVG_OPTIONS[case])
     assert _digest(text) == K16_SVG_DIGESTS[case]
 
 
@@ -143,12 +147,12 @@ def test_single_vertex_svg_is_pinned():
     assert _digest(text) == SINGLE_VERTEX_SVG_DIGEST
 
 
-def test_pins_hold_across_row_chunks(k16, k16_filtered, monkeypatch):
+def test_pins_hold_across_row_chunks(k16, monkeypatch):
     # Every element is a row of the chunked row writer; chunks of 7 rows
     # split each group many times and must not change a byte.
     monkeypatch.setattr(racdraw.model, "_ROW_CHUNK", 7)
     for case, digest in K16_SVG_DIGESTS.items():
-        assert _digest(render_svg(k16, _k16_options(case, k16_filtered[0]))) == digest
+        assert _digest(render_svg(k16, K16_SVG_OPTIONS[case])) == digest
     assert _digest(render_svg(draw_complete(1))) == SINGLE_VERTEX_SVG_DIGEST
 
 

@@ -3,6 +3,7 @@ import hashlib
 import random
 import threading
 import tracemalloc
+import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
@@ -12,15 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import pair_payload, random_graph
+from test_svg import SVG_NS
 
 from racdraw import (
     DefectKind,
     Drawing,
     GraphInput,
+    SvgOptions,
     ValidationMode,
     bounding_box,
     draw_complete,
     draw_graph,
+    render_svg,
     segment_pair,
     stats,
     validate,
@@ -217,7 +221,7 @@ class TestValidate:
             with pytest.raises(FrozenInstanceError):
                 setattr(report, name, () if name == "violations" else None)
         assert not report.ok
-        assert stats(bad, report).violation_count == 85
+        assert stats(bad).violation_count == 85
 
     def test_report_keeps_nothing_of_the_certifier(self, k81):
         # The report refers to the drawing, which the caller holds, and
@@ -318,9 +322,8 @@ class TestBoundingBox:
 
 
 class TestStats:
-    def test_k16(self, k16, k16_filtered):
-        report, _ = k16_filtered
-        s = stats(k16, report=report)
+    def test_k16(self, k16):
+        s = stats(k16)
         assert s.bends_per_edge == 6
         assert (s.width, s.height) == (178, 269)
         assert s.area == 47882
@@ -329,16 +332,22 @@ class TestStats:
         assert s.area_ratio == "23.3799"
         assert float(s.area_ratio) == pytest.approx(47882 / 16**2.75, abs=5e-5)
 
-    def test_report_of_another_drawing_is_refused(self, k16, k16_filtered):
-        # Another n and m, or the same n and m in another bounding box.
-        report, _ = k16_filtered
-        for d in (draw_complete(5), _transform(k16, 1, 0)):
-            with pytest.raises(ValueError, match="another drawing"):
-                stats(d, report)
+    def test_each_consumer_reports_its_own_drawing(self, k16):
+        # K16 and bent have equal n, m and bounding box, so only certifying
+        # the drawing given can tell their figures apart.
+        bent = k16
+        for edge, index, point in TestMagnitudeRegimes.CORRUPTIONS["bent"][1]:
+            bent = _replace_bend(bent, edge, index, point)
+        assert (bent.n, bent.m, bounding_box(bent)) == (k16.n, k16.m, bounding_box(k16))
+        for d, violations, crossings in ((k16, 0, 7760), (bent, 85, 7759)):
+            assert stats(d).violation_count == violations
+            root = ET.fromstring(render_svg(d, SvgOptions(mark_crossings=True)))
+            markers = root.findall(f"{SVG_NS}g[@class='crossings']/{SVG_NS}circle")
+            assert len(markers) == crossings == validate(d).crossing_count
 
     def test_two_vertices(self):
         d = draw_complete(2)
-        s = stats(d, report=validate(d, BRUTE))
+        s = stats(d)
         assert s.m == 1
         assert s.crossing_count == 0
 
